@@ -77,11 +77,6 @@ class Alphabet:
         except KeyError:
             raise UnknownSymbol(f"symbol {token!r} is not in the alphabet") from None
 
-    def compare(self, x: Token, y: Token) -> int:
-        """Canonical comparison of two member tokens: -1, 0, or +1."""
-        ix, iy = self.index(x), self.index(y)
-        return (ix > iy) - (ix < iy)
-
     def __len__(self) -> int:
         return len(self._symbols)
 
@@ -102,11 +97,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self._symbols)!r})"
-
-
-def compare_symbols(alphabet: Alphabet, x: Token, y: Token) -> int:
-    """Strict total order on alphabet members: -1 (x<y), 0 (x==y), +1 (x>y)."""
-    return alphabet.compare(x, y)
 
 
 def symbol_alphabet(size: int, prefix: str = "s") -> Alphabet:
@@ -132,22 +122,6 @@ class Composition:
 
     counts: tuple[tuple[int, int], ...]
     n: int
-
-    def count_of(self, symbol_index: int) -> int:
-        for idx, cnt in self.counts:
-            if idx == symbol_index:
-                return cnt
-        return 0
-
-    def distinct_symbols(self) -> int:
-        return len(self.counts)
-
-    def as_token_counts(self, alphabet: Alphabet) -> dict[str, int]:
-        """Counts keyed by token, including explicit zeros for absent symbols."""
-        out = {token: 0 for token in alphabet}
-        for idx, cnt in self.counts:
-            out[alphabet[idx]] = cnt
-        return out
 
 
 def composition_from_indices(indices: Sequence[int]) -> Composition:

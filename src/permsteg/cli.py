@@ -10,6 +10,12 @@ Exit codes: 0 success, 2 I/O failure, 3 unknown symbol in a stream,
 Exit 2 is also click's own code for usage errors, such as a missing or
 unknown option; those print click's ``Error: ...`` usage message instead
 of an ``error: ...`` line.
+
+A payload longer than the cover can carry is embedded only in part. Without
+``--frame-length`` the embed still exits 0 and ``bits_embedded`` in the
+summary says how many leading bits went in. With ``--frame-length`` a
+framed payload that does not fit whole exits 4 and writes no stego file,
+since the receiver could not unframe it.
 """
 
 from __future__ import annotations
@@ -167,6 +173,11 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
             random.Random(seed_delta),
             random.Random(seed_padding),
             force_delta=force_delta,
+        )
+    if frame_length and result.bits_embedded < len(hidden):
+        raise ValueError(
+            f"framed payload of {len(hidden)} bits does not fit the cover: "
+            f"bits_embedded {result.bits_embedded}"
         )
     _write_tokens(out_path, result.stego)
     summary = {

@@ -1,24 +1,28 @@
 """Randomized payload-length coding over a class of N equiprobable words.
 
 A block whose class has N members can carry a whole number of payload bits
-only when N is a power of two. The general case is handled by splitting the
-class along the binary expansion of N: writing N = sum of 2**i over the set
-bits i, the class decomposes into disjoint bands, one band of 2**i words
-per set bit. The encoder first draws the payload length d among the set
-bits, giving length i probability 2**i / N, then reads d payload bits and
-interprets them MSB-first as a value r in [0, 2**d). The emitted class
-index is
+only when N is a power of two. The general case splits the class along the
+binary expansion of N: one band of 2**d words per set bit d, laid out from
+the highest set bit downward. The encoder draws the payload length d among
+the set bits with probability 2**d / N, reads d payload bits MSB-first as a
+value r in [0, 2**d), and emits the class index
 
-    tau = offset(d) + r,    offset(d) = sum of 2**l over set bits l > d,
+    tau = offset(d) + r,    offset(d) = N with bits 0..d cleared.
 
-i.e. bands are laid out from the highest set bit downward. The map from
-(d, r) to tau is a bijection onto [0, N), and when d is drawn as above and
-r is uniform, tau is exactly uniform on [0, N) -- the whole point: the
-emitted word is distributed exactly like the covertext block it replaces.
-The decoder recovers (d, r) from tau alone; no shared randomness is needed.
+Conversely, the band holding an index tau < N is the highest bit where tau
+and N differ: above it the two agree (tau starts at offset(d)), and at it N
+has a 1 while tau has a 0 (tau stays below offset(d) + 2**d). Both
+directions are therefore bit arithmetic on N alone; no per-class table is
+needed, whatever the size of N.
 
-Drawing d costs nothing when N is a power of two (a single band forces d),
-so degenerate classes consume no randomness at all.
+The map (d, r) -> tau is a bijection onto [0, N), and with d drawn as above
+and r uniform, tau is exactly uniform on [0, N): the emitted word is
+distributed exactly like the covertext block it replaces. Drawing d is the
+same as drawing u uniform on [0, N) and taking the band that holds u. The
+decoder recovers (d, r) from tau alone; no shared randomness is needed.
+
+A power of two has a single band, so its draw is forced and consumes no
+randomness.
 """
 
 from __future__ import annotations
@@ -26,64 +30,39 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import IndexOutOfRange, InvalidDelta, NonPositive, PayloadOutOfRange
 
 
 @dataclass(frozen=True, slots=True)
 class BinaryExpansion:
-    """Base-2 digits of a positive integer, with band layout precomputed.
-
-    ``bits[i]`` is the coefficient of 2**i (so the tuple reads LSB first and
-    always ends in 1); ``levels`` lists the set bit positions in descending
-    order and ``offsets[j]`` is the start of the band for ``levels[j]``.
-    """
+    """A positive class size N, read through its base-2 digits."""
 
     value: int
-    bits: tuple[int, ...]
-    levels: tuple[int, ...]
-    offsets: tuple[int, ...]
 
     @property
     def m(self) -> int:
         """Position of the leading bit: floor(log2(value))."""
-        return len(self.bits) - 1
+        return self.value.bit_length() - 1
 
-    def bit(self, i: int) -> int:
-        return self.bits[i] if 0 <= i < len(self.bits) else 0
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """Set bit positions of ``value``, in descending order (band order)."""
+        m = self.m
+        return tuple(m - j for j, digit in enumerate(bin(self.value)[2:]) if digit == "1")
 
 
-@lru_cache(maxsize=65536)
 def expand(value: int) -> BinaryExpansion:
-    """Binary expansion of ``value`` >= 1 (memoized; expansions are immutable)."""
+    """Binary expansion of ``value`` >= 1."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise NonPositive(f"expected a positive integer, got {value!r}")
     if value < 1:
         raise NonPositive(f"expected a positive integer, got {value}")
-    bits = tuple((value >> i) & 1 for i in range(value.bit_length()))
-    levels: list[int] = []
-    offsets: list[int] = []
-    offset = 0
-    for i in range(len(bits) - 1, -1, -1):
-        if bits[i]:
-            levels.append(i)
-            offsets.append(offset)
-            offset += 1 << i
-    return BinaryExpansion(value, bits, tuple(levels), tuple(offsets))
+    return BinaryExpansion(value)
 
 
-def delta_probabilities(exp: BinaryExpansion) -> list[tuple[int, Fraction]]:
-    """Exact distribution of the payload length: P(d = i) = bit_i * 2**i / N.
-
-    Returned for every i from the top bit down to 0, including zero-probability
-    entries; the probabilities sum to exactly 1.
-    """
-    n = exp.value
-    return [
-        (i, Fraction(1 << i, n) if exp.bits[i] else Fraction(0))
-        for i in range(exp.m, -1, -1)
-    ]
+def _is_band(value: int, d: int) -> bool:
+    return 0 <= d < value.bit_length() and (value >> d) & 1 == 1
 
 
 def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = None) -> int:
@@ -93,46 +72,36 @@ def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = 
     generator is not consumed. ``forced`` overrides the draw with a fixed,
     admissible length (test hook; InvalidDelta if the band does not exist).
     """
+    value = exp.value
     if forced is not None:
-        if not (0 <= forced <= exp.m) or not exp.bits[forced]:
-            raise InvalidDelta(
-                f"forced payload length {forced} is not a set bit of {exp.value}"
-            )
+        if not _is_band(value, forced):
+            raise InvalidDelta(f"forced payload length {forced} is not a set bit of {value}")
         return forced
-    levels = exp.levels
-    if len(levels) == 1:
-        return levels[0]
-    # randrange is exactly uniform on [0, N); locate the band containing it.
-    u = rng.randrange(exp.value)
-    for level in levels:
-        width = 1 << level
-        if u < width:
-            return level
-        u -= width
-    raise AssertionError("unreachable: bands cover [0, N)")
+    if value & (value - 1) == 0:
+        return value.bit_length() - 1
+    # randrange is exactly uniform on [0, N); the band holding it is d.
+    return (value ^ rng.randrange(value)).bit_length() - 1
 
 
 def encode_index(exp: BinaryExpansion, d: int, r: int) -> int:
     """Class index for payload value ``r`` carried in a band of width 2**d."""
-    if not (0 <= d <= exp.m) or not exp.bits[d]:
-        raise InvalidDelta(f"payload length {d} is not a set bit of {exp.value}")
+    value = exp.value
+    if not _is_band(value, d):
+        raise InvalidDelta(f"payload length {d} is not a set bit of {value}")
     if not (0 <= r < (1 << d)):
         raise PayloadOutOfRange(f"payload value {r} does not fit in {d} bits")
-    return exp.offsets[exp.levels.index(d)] + r
+    return ((value >> (d + 1)) << (d + 1)) | r
 
 
 def decode_index(exp: BinaryExpansion, tau: int) -> tuple[int, int]:
     """Invert encode_index: the unique (d, r) whose band contains ``tau``."""
-    if not (0 <= tau < exp.value):
-        raise IndexOutOfRange(f"class index {tau} outside [0, {exp.value})")
-    for level in exp.levels:
-        width = 1 << level
-        if tau < width:
-            return level, tau
-        tau -= width
-    raise AssertionError("unreachable: bands cover [0, N)")
+    value = exp.value
+    if not (0 <= tau < value):
+        raise IndexOutOfRange(f"class index {tau} outside [0, {value})")
+    d = (value ^ tau).bit_length() - 1
+    return d, tau & ((1 << d) - 1)
 
 
 def expected_payload_bits(exp: BinaryExpansion) -> Fraction:
     """Mean payload length under the band distribution: sum(l * 2**l) / N."""
-    return Fraction(sum(level * (1 << level) for level in exp.levels), exp.value)
+    return Fraction(sum(level << level for level in exp.levels), exp.value)

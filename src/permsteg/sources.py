@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .alphabet import Alphabet, symbol_alphabet
+from .bits import bytes_to_bits
 from .errors import InvalidModel
 
 Probability = Fraction | float
@@ -67,9 +68,6 @@ class SourceModel:
     @property
     def is_rational(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.probs)
-
-    def prob_of(self, token: str) -> Probability:
-        return self.probs[self.alphabet.index(token)]
 
     def draw_index(self, rng: random.Random) -> int:
         """One symbol index by inverse-CDF on a uniform variate."""
@@ -158,10 +156,10 @@ def draw_hidden_bits(count: int, rng: random.Random) -> list[int]:
     """``count`` i.i.d. fair bits; deterministic given the seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
-    value = rng.getrandbits(count)
-    return [(value >> shift) & 1 for shift in range(count - 1, -1, -1)]
+    # getrandbits(count) read MSB first; unpacking bytes keeps this linear.
+    pad = -count % 8
+    data = rng.getrandbits(count).to_bytes((count + pad) // 8, "big")
+    return bytes_to_bits(data)[pad:]
 
 
 def hidden_bit_stream(rng: random.Random) -> Iterator[int]:
@@ -169,12 +167,3 @@ def hidden_bit_stream(rng: random.Random) -> Iterator[int]:
     getrandbits = rng.getrandbits
     while True:
         yield getrandbits(1)
-
-
-def infinite_cover(model: SourceModel, rng: random.Random) -> Iterator[str]:
-    """Endless i.i.d. symbol stream from the model."""
-    symbols = model.alphabet.symbols
-    cum = model._cum
-    rand = rng.random
-    while True:
-        yield symbols[bisect_right(cum, rand())]

@@ -47,6 +47,18 @@ def brute_decode(value: int, tau: int) -> tuple[int, int]:
     return matches[0]
 
 
+def brute_decode_table(value: int) -> list[tuple[int, int]]:
+    """brute_decode(value, tau) for every tau in [0, value), in one scan."""
+    table: list = [None] * value
+    for d in set_bits(value):
+        for r in range(1 << d):
+            tau = band_index(value, d, r)
+            assert table[tau] is None, f"band code not bijective at {value}, {tau}"
+            table[tau] = (d, r)
+    assert None not in table, f"band code not onto [0, {value})"
+    return table
+
+
 def product_law(tokens, probs, n) -> dict[tuple, Fraction]:
     """The i.i.d. block law, enumerated directly."""
     out = {}

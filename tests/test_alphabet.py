@@ -8,7 +8,6 @@ from permsteg import (
     Alphabet,
     InvalidAlphabet,
     UnknownSymbol,
-    compare_symbols,
     composition_of,
     symbol_alphabet,
 )
@@ -63,45 +62,21 @@ class TestAlphabet:
         assert list(alpha.symbols) == sorted(alpha.symbols)
 
 
-class TestCompareSymbols:
-    def test_examples(self):
-        assert compare_symbols(ABC, "a", "b") == -1
-        assert compare_symbols(ABC, "b", "b") == 0
-        assert compare_symbols(ABC, "c", "a") == 1
-
-    def test_unknown(self):
-        with pytest.raises(UnknownSymbol):
-            compare_symbols(ABC, "a", "z")
-
-    @given(st.tuples(st.sampled_from("abc"), st.sampled_from("abc"), st.sampled_from("abc")))
-    def test_strict_total_order(self, triple):
-        x, y, z = triple
-        cmp_xy = compare_symbols(ABC, x, y)
-        # trichotomy and antisymmetry
-        assert cmp_xy in (-1, 0, 1)
-        assert compare_symbols(ABC, y, x) == -cmp_xy
-        assert (cmp_xy == 0) == (x == y)
-        # transitivity on the sampled triple
-        if cmp_xy <= 0 and compare_symbols(ABC, y, z) <= 0:
-            assert compare_symbols(ABC, x, z) <= 0
-
-
 class TestComposition:
     def test_worked_block(self):
         comp = composition_of(("b", "a", "c"), ABC)
-        assert comp.as_token_counts(ABC) == {"a": 1, "b": 1, "c": 1}
+        assert comp.counts == ((0, 1), (1, 1), (2, 1))
         assert comp.n == 3
 
     def test_single_letter_block(self):
         comp = composition_of(("a", "a", "a"), ABC)
-        assert comp.as_token_counts(ABC) == {"a": 3, "b": 0, "c": 0}
+        assert comp.counts == ((0, 3),)  # absent symbols are not listed
+        assert comp.n == 3
 
     def test_direct_count(self):
         ab = Alphabet(["a", "b"])
         comp = composition_of(("a", "a", "b", "b"), ab)
-        assert comp.as_token_counts(ab) == {"a": 2, "b": 2}
-        assert comp.count_of(0) == 2
-        assert comp.count_of(1) == 2
+        assert comp.counts == ((0, 2), (1, 2))
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):

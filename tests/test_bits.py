@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,19 @@ def test_bits_to_bytes_pads_tail_with_zeros():
     assert bits_to_bytes([1]) == b"\x80"
     assert bits_to_bytes([1, 0, 1]) == b"\xa0"
     assert bits_to_bytes([]) == b""
+
+
+@pytest.mark.parametrize("bad", [2, -1, 3, 255])
+def test_packing_rejects_non_bits(bad):
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        bits_to_bytes([1, 0, bad, 1])
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        int_from_bits([1, 0, bad, 1])
+
+
+def test_packing_accepts_bools():
+    assert bits_to_bytes([True, False]) == b"\x80"
+    assert int_from_bits([True, False, True]) == 5
 
 
 def test_int_round_trip_examples():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -176,6 +177,32 @@ class TestEmbedExtract:
         ])
         assert extract.exit_code == 0, extract.output
         assert (workdir / "recovered.bin").read_bytes() == payload
+
+    @pytest.mark.parametrize("scheme", ["stn", "st2"])
+    def test_framed_payload_too_long_exit_4(self, runner, workdir, scheme):
+        write_tokens(workdir / "cover.txt", "abcbca" * 4)
+        (workdir / "hidden.bin").write_bytes(b"xy")
+        args = [
+            "embed", "--alphabet", str(workdir / "alphabet.txt"),
+            "--scheme", scheme, "--block-size", "3",
+            "--cover", str(workdir / "cover.txt"),
+            "--hidden", str(workdir / "hidden.bin"),
+            "--out", str(workdir / "stego.txt"),
+        ]
+        result = runner.invoke(main, args + ["--frame-length"])
+        assert result.exit_code == 4
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"error: framed payload of 48 bits does not fit the cover: bits_embedded \d+",
+            lines[0],
+        ), lines[0]
+        assert not (workdir / "stego.txt").exists()
+        # Unframed, the same payload is embedded in part and the command succeeds.
+        unframed = runner.invoke(main, args)
+        assert unframed.exit_code == 0, unframed.output
+        assert 0 < json.loads(unframed.output)["bits_embedded"] < 16
+        assert (workdir / "stego.txt").exists()
 
     def test_pair_scheme_round_trip(self, runner, workdir):
         write_tokens(workdir / "cover.txt", "aababaaaabbaaaaabb")

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,38 +9,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsteg import (
+    BinaryExpansion,
     IndexOutOfRange,
     InvalidDelta,
     NonPositive,
     PayloadOutOfRange,
     decode_index,
-    delta_probabilities,
     encode_index,
     expand,
     expected_payload_bits,
     sample_delta,
 )
 
-from oracles import band_index, brute_decode, set_bits
+from oracles import band_index, brute_decode, brute_decode_table, set_bits
 
 
 class TestExpand:
     def test_worked_value_six(self):
         exp = expand(6)
+        assert exp.value == 6
         assert exp.m == 2
-        assert exp.bits == (0, 1, 1)  # alpha_0=0, alpha_1=1, alpha_2=1
-        assert exp.levels == (2, 1)
+        assert exp.levels == (2, 1)  # alpha_0=0, alpha_1=1, alpha_2=1
 
     def test_singleton(self):
         exp = expand(1)
         assert exp.m == 0
-        assert exp.bits == (1,)
+        assert exp.levels == (0,)
 
     def test_power_of_two(self):
         exp = expand(4)
         assert exp.m == 2
-        assert exp.bits == (0, 0, 1)
         assert exp.levels == (2,)
+
+    def test_value_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(BinaryExpansion)] == ["value"]
+        assert expand(6) == BinaryExpansion(6)
 
     def test_non_positive_rejected(self):
         for bad in (0, -3):
@@ -50,27 +55,56 @@ class TestExpand:
     @given(st.integers(min_value=1, max_value=10**30))
     def test_digits_reconstruct_value(self, value):
         exp = expand(value)
-        assert exp.bits[-1] == 1
-        assert sum(1 << i for i, bit in enumerate(exp.bits) if bit) == value
+        assert exp.value == value
+        assert exp.levels[0] == exp.m == value.bit_length() - 1
+        assert sum(1 << i for i in exp.levels) == value
         assert list(exp.levels) == sorted(set_bits(value), reverse=True)
+
+
+class _Counter:
+    """Stands in for a generator: randrange(N) returns 0, 1, 2, ... in turn."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randrange(self, stop):
+        assert self.draws < stop
+        self.draws += 1
+        return self.draws - 1
+
+
+def sampled_law(value):
+    """Exact law of sample_delta: drive it once with each u in [0, N)."""
+    exp, rng = expand(value), _Counter()
+    counts = Counter(sample_delta(exp, rng) for _ in range(value))
+    return {d: Fraction(c, value) for d, c in counts.items()}
 
 
 class TestDeltaProbabilities:
     def test_worked_value_six(self):
-        probs = dict(delta_probabilities(expand(6)))
-        assert probs == {2: Fraction(4, 6), 1: Fraction(2, 6), 0: Fraction(0)}
+        assert sampled_law(6) == {2: Fraction(4, 6), 1: Fraction(2, 6)}
 
     def test_singleton_forces_zero(self):
-        assert dict(delta_probabilities(expand(1))) == {0: Fraction(1)}
+        assert sampled_law(1) == {0: Fraction(1)}
 
     def test_power_of_two_forces_top(self):
-        probs = dict(delta_probabilities(expand(4)))
-        assert probs == {2: Fraction(1), 1: Fraction(0), 0: Fraction(0)}
+        assert sampled_law(4) == {2: Fraction(1)}
 
-    @given(st.integers(min_value=1, max_value=10**12))
-    def test_sums_to_one(self, value):
-        probs = delta_probabilities(expand(value))
-        assert sum(p for _, p in probs) == 1
+    def test_every_draw_lands_in_its_band(self):
+        # One draw u per class that is not a power of two, and the length
+        # returned is the band holding u, so exactly 2**d of the N draws give
+        # d: the law is 2**d / N over the set bits of N.
+        for value in range(1, 513):
+            exp = expand(value)
+            rng = _Counter()
+            for u, (d, _) in enumerate(brute_decode_table(value)):
+                assert sample_delta(exp, rng) == d, (value, u)
+            single_band = value & (value - 1) == 0
+            assert rng.draws == (0 if single_band else value)
+
+    def test_table_oracle_matches_brute_decode(self):
+        for value in range(1, 65):
+            assert brute_decode_table(value) == [brute_decode(value, u) for u in range(value)]
 
 
 class TestSampleDelta:
@@ -170,7 +204,7 @@ class TestBandCode:
         exp = expand(value)
         tau = rnd.randrange(value)
         d, r = decode_index(exp, tau)
-        assert exp.bits[d] == 1 and 0 <= r < (1 << d)
+        assert d in exp.levels and (exp.value >> d) & 1 == 1 and 0 <= r < (1 << d)
         assert encode_index(exp, d, r) == tau
 
     @given(st.integers(min_value=1, max_value=512))

@@ -50,11 +50,6 @@ class TestSourceModel:
         assert SourceModel(AB, (Fraction(1, 2), Fraction(1, 2))).is_rational
         assert not SourceModel(AB, (0.5, 0.5)).is_rational
 
-    def test_prob_of(self):
-        model = two_point_model(Fraction(7, 10))
-        assert model.prob_of("a") == Fraction(7, 10)
-        assert model.prob_of("b") == Fraction(3, 10)
-
 
 class TestPresets:
     def test_uniform(self):
@@ -137,6 +132,13 @@ class TestDrawing:
         model = zipf_model(6, 2)
         cover = draw_cover(model, 30_000, random.Random(8))
         assert set(cover) == set(model.alphabet.symbols)
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 1000])
+    def test_hidden_bits_are_getrandbits_msb_first(self, count):
+        for seed in (0, 5, 77):
+            value = random.Random(seed).getrandbits(count)
+            expected = [int(digit) for digit in format(value, f"0{count}b")]
+            assert draw_hidden_bits(count, random.Random(seed)) == expected
 
     def test_hidden_bits_fair(self):
         draws = 1_000_000
