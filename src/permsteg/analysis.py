@@ -32,7 +32,7 @@ from .alphabet import Block, Composition, indices_to_block
 from .codec import EmbedResult, stn_embed
 from .errors import DegenerateCells, EmptyTrace, SpaceTooLarge
 from .payload import encode_index, expand
-from .ranking import class_size, multinomial, unrank_indices
+from .ranking import class_size, multinomial, sorted_indices, unrank_indices
 from .sources import Probability, SourceModel, draw_cover, hidden_bit_stream
 
 EXACT_SPACE_GUARD = 10**6
@@ -89,7 +89,8 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
         comp = Composition(tuple((i, c) for i, c in enumerate(counts) if c), n)
         size = class_size(comp)
         exp = expand(size)
-        members = [tuple(unrank_indices(comp, t, size)) for t in range(size)]
+        ordered = sorted_indices(comp)
+        members = [tuple(unrank_indices(ordered, t, size)) for t in range(size)]
         class_prob: Probability = Fraction(0) if rational else 0.0
         for member in members:
             p = probs[member[0]]

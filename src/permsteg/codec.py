@@ -41,7 +41,7 @@ from .ranking import rank_indices, unrank_indices
 # Full member tables are built for a class only once it has repeated enough
 # to amortize the enumeration (hits scale with the class size), so streams
 # with recurring small compositions trade memory for speed while one-off
-# classes (large alphabets) stay on the positional rank/unrank path.
+# classes (large alphabets) stay on the rank/unrank path.
 _MEMBER_TABLE_MAX_CLASS = 2048
 _MEMBER_TABLE_HIT_FACTOR = 24
 _MEMBER_TABLE_BUDGET = 1 << 21
@@ -130,11 +130,15 @@ class _BitFeed:
 
 
 class _ClassInfo:
-    """Cached per-composition data: size, expansion, optional member table."""
+    """Cached per-composition data: size, expansion, optional member table.
 
-    __slots__ = ("comp", "size", "exp", "hits", "pending", "members", "ranks")
+    ``key`` is the class's sorted token tuple, shared with the cache's key.
+    """
 
-    def __init__(self, comp: Composition, size: int):
+    __slots__ = ("key", "comp", "size", "exp", "hits", "pending", "members", "ranks")
+
+    def __init__(self, key: tuple[str, ...], comp: Composition, size: int):
+        self.key = key
         self.comp = comp
         self.size = size
         self.exp: BinaryExpansion = expand(size)
@@ -214,7 +218,7 @@ class _ClassCache:
                 raise UnknownSymbol(
                     f"symbol {exc.args[0]!r} is not in the alphabet"
                 ) from None
-            info = _ClassInfo(*_composition_and_size(resolved, n))
+            info = _ClassInfo(key, *_composition_and_size(resolved, n))
             self._table[key] = info
         info.hits += 1
         if (
@@ -328,7 +332,6 @@ def stn_embed(
         raise InvalidBlockLength(f"block length must be >= 2, got {n}")
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
-    symbols = alphabet.symbols
     feed = _BitFeed(hidden, padding_rng)
     cache = _ClassCache(index)
     forced = force_delta is not None
@@ -348,7 +351,7 @@ def stn_embed(
         if info.members is not None:
             out.extend(info.members[tau])
         else:
-            out.extend(symbols[i] for i in unrank_indices(info.comp, tau, info.size))
+            out.extend(unrank_indices(info.key, tau, info.size))
         trace.append(BlockTrace(info.comp, info.size, d, r, tau, forced))
     return EmbedResult(tuple(out), feed.genuine, feed.padding, tuple(trace))
 
@@ -372,7 +375,7 @@ def stn_extract(stego: Iterable[str], n: int, alphabet: Alphabet) -> ExtractResu
         if info.ranks is not None:
             tau = info.ranks[tuple(chunk)]
         else:
-            tau = rank_indices([index[t] for t in chunk], info.size)
+            tau = rank_indices(chunk, info.size)
         d, r = decode_index(info.exp, tau)
         if d:
             bits.extend(bits_from_int(r, d))

@@ -7,18 +7,22 @@ undetectable. The class is ordered lexicographically (canonical symbol
 order) and its members are addressed by rank, from 0 to the class size
 minus one.
 
-The class size is the multinomial coefficient n! / prod(count_a!). Ranking
-walks the block left to right; at each position it adds, for every still
-available smaller symbol, the number of arrangements that would start with
-that symbol. Unranking runs the same walk greedily in reverse. Both are
-O(n * distinct symbols) big-integer operations per block. Everything here
-is exact arbitrary-precision arithmetic; class sizes overflow 64 bits for
-quite small blocks already.
+The class size is the multinomial coefficient n! / prod(count_a!). Both
+walks keep the letters not yet placed as a sorted list. At a position with
+``left`` letters remaining and ``size`` arrangements of them, the words
+starting with any of the ``below`` smaller letters number exactly
+``size * below // left``; ``below`` is a bisection in that list. So each
+position costs O(1) big-integer operations, O(log n) bisections and one
+list deletion. The items only need to be in canonical order: alphabet
+indices and tokens both work, since canonical token order is plain string
+order. Everything here is exact arbitrary-precision arithmetic; class sizes
+overflow 64 bits for quite small blocks already.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Sequence
 
@@ -47,67 +51,54 @@ def multinomial(counts) -> int:
     return result
 
 
-def rank_indices(indices: Sequence[int], size: int | None = None) -> int:
-    """Rank of an index block within its class, lexicographic order.
+def rank_indices(word: Sequence, size: int | None = None) -> int:
+    """Rank of a word within its class, lexicographic order.
 
     ``size`` may pass a precomputed class size to skip recomputing it.
     """
-    counter = Counter(indices)
-    symbols = sorted(counter)
-    counts = [counter[s] for s in symbols]
+    remaining = sorted(word)
     if size is None:
-        size = multinomial(counts)
+        size = multinomial(Counter(remaining).values())
     rank_value = 0
-    left = len(indices)
-    for sym in indices:
-        # Arrangements of the remaining suffix starting with symbol t number
-        # size * count(t) / left; the divisions are exact.
-        j = 0
-        while True:
-            t = symbols[j]
-            if t == sym:
-                break
-            rank_value += size * counts[j] // left
-            j += 1
-        cnt = counts[j]
-        size = size * cnt // left
+    left = len(remaining)
+    for sym in word:
+        below = bisect_left(remaining, sym)
+        if below:
+            rank_value += size * below // left
+        size = size * (bisect_right(remaining, sym, below) - below) // left
+        del remaining[below]
         left -= 1
-        if cnt == 1:
-            del symbols[j]
-            del counts[j]
-        else:
-            counts[j] = cnt - 1
     return rank_value
 
 
-def unrank_indices(comp: Composition, index: int, size: int | None = None) -> list[int]:
-    """Index block with the given rank within the class of ``comp``."""
+def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> list:
+    """Word with the given rank within the class of the sorted word ``ordered``."""
+    remaining = list(ordered)
     if size is None:
-        size = class_size(comp)
+        size = multinomial(Counter(remaining).values())
     if not (0 <= index < size):
         raise IndexOutOfRange(f"rank {index} outside [0, {size})")
-    symbols = [s for s, _ in comp.counts]
-    counts = [c for _, c in comp.counts]
-    out: list[int] = []
-    left = comp.n
-    for _ in range(comp.n):
-        j = 0
-        while True:
-            starting_here = size * counts[j] // left
-            if index < starting_here:
-                break
-            index -= starting_here
-            j += 1
-        out.append(symbols[j])
-        size = starting_here
-        cnt = counts[j]
+    out = []
+    left = len(remaining)
+    for _ in range(left):
+        # The words starting with remaining[q] hold the ranks from
+        # size * below / left on, a range that covers size * q / left up
+        # to size * (q + 1) / left and so covers index.
+        q = index * left // size
+        sym = remaining[q]
+        out.append(sym)
+        below = bisect_left(remaining, sym, 0, q)
+        if below:
+            index -= size * below // left
+        size = size * (bisect_right(remaining, sym, q) - below) // left
+        del remaining[below]
         left -= 1
-        if cnt == 1:
-            del symbols[j]
-            del counts[j]
-        else:
-            counts[j] = cnt - 1
     return out
+
+
+def sorted_indices(comp: Composition) -> list[int]:
+    """The class's first member: each symbol index repeated by its count."""
+    return [sym for sym, cnt in comp.counts for _ in range(cnt)]
 
 
 def rank(block: Sequence[str], alphabet: Alphabet) -> int:
@@ -119,4 +110,4 @@ def rank(block: Sequence[str], alphabet: Alphabet) -> int:
 
 def unrank(comp: Composition, index: int, alphabet: Alphabet) -> Block:
     """The unique member of the class of ``comp`` with the given rank."""
-    return indices_to_block(unrank_indices(comp, index), alphabet)
+    return indices_to_block(unrank_indices(sorted_indices(comp), index), alphabet)

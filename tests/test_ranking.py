@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,16 +9,19 @@ from hypothesis import strategies as st
 
 from permsteg import (
     Alphabet,
+    Composition,
     IndexOutOfRange,
     class_size,
     composition_of,
     multinomial,
     rank,
+    rank_indices,
     symbol_alphabet,
     unrank,
+    unrank_indices,
 )
 
-from oracles import brute_rank, enumerate_class
+from oracles import brute_rank, enumerate_class, positional_rank, positional_unrank
 
 ABC = Alphabet(["a", "b", "c"])
 AB = Alphabet(["a", "b"])
@@ -128,3 +133,49 @@ class TestRankUnrank:
     def test_rank_agrees_with_brute_force(self, block):
         # the oracle enumerates all permutations, so keep blocks short
         assert rank(tuple(block), AB) == brute_rank(tuple(block))
+
+
+def _differential_shapes():
+    rng = random.Random(20261018)
+    shapes = [(k, n) for k in (2, 3, 4, 8, 26, 256, 1024) for n in range(1, 81)]
+    shapes += [(256, 256)] * 3 + [(2, 1024)] * 3
+    return rng, shapes
+
+
+class TestAgainstPositionalReference:
+    """The bisect walks compute the positional scan's bijection exactly."""
+
+    def test_random_classes_match_reference(self):
+        rng, shapes = _differential_shapes()
+        for k, n in shapes:
+            # Tokens without zero padding: canonical (string) order differs
+            # from numeric order, so the token checks exercise it.
+            alpha = Alphabet(str(i) for i in range(k))
+            indices = [rng.randrange(k) for _ in range(n)]
+            tokens = [alpha[i] for i in indices]
+            comp = Composition(tuple(sorted(Counter(indices).items())), n)
+            size = multinomial(Counter(indices).values())
+            r = positional_rank(indices)
+            assert rank_indices(indices) == r, (k, n)
+            assert rank_indices(indices, size) == r, (k, n)
+            assert rank_indices(tokens, size) == r, (k, n)
+            for tau in {0, r, size - 1, rng.randrange(size)}:
+                expected = positional_unrank(comp, tau, size)
+                assert unrank_indices(sorted(indices), tau, size) == expected, (k, n)
+                assert unrank_indices(sorted(tokens), tau) == [
+                    alpha[i] for i in expected
+                ], (k, n)
+            assert unrank_indices(sorted(indices), r, size) == indices
+            assert unrank_indices(tuple(sorted(tokens)), r, size) == tokens
+            for bad in (size, -1):
+                with pytest.raises(IndexOutOfRange):
+                    unrank_indices(sorted(indices), bad, size)
+
+    def test_size_one_class(self):
+        word = ["s7"] * 5
+        assert rank_indices(word) == 0
+        assert unrank_indices(word, 0) == word
+        with pytest.raises(IndexOutOfRange):
+            unrank_indices(word, 1)
+        with pytest.raises(IndexOutOfRange):
+            unrank_indices(word, -1)
