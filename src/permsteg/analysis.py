@@ -13,6 +13,11 @@ compared against the lower bound
     rate(n) >= (E[log2 class_size] - 2) / n
 
 and the per-pair rate formula (1 - sum p_a^2) / 2 of the pair scheme.
+
+scipy is loaded only for the chi-square checks (``chi_square_gof``, and so
+``empirical_distribution_report`` and ``permsteg analyze --mode
+empirical``), on their first call; importing this module, and so the
+package and its command line, loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
-
-from scipy.stats import chi2
 
 from .alphabet import Block, Composition, indices_to_block
 from .codec import EmbedResult, stn_embed
@@ -223,6 +226,9 @@ def chi_square_gof(
     if len(kept) < 2:
         raise DegenerateCells(f"only {len(kept)} cell(s) left after pooling")
     statistic = sum((o - e) ** 2 / e for e, o in kept)
+    # Deferred: scipy.stats is most of the package's import time, and only chi-square needs it.
+    from scipy.stats import chi2
+
     p_value = float(chi2.sf(statistic, len(kept) - 1))
     return statistic, p_value
 

@@ -375,7 +375,7 @@ def stn_extract(stego: Iterable[str], n: int, alphabet: Alphabet) -> ExtractResu
         if info.ranks is not None:
             tau = info.ranks[tuple(chunk)]
         else:
-            tau = rank_indices(chunk, info.size)
+            tau = rank_indices(chunk, info.key, info.size)
         d, r = decode_index(info.exp, tau)
         if d:
             bits.extend(bits_from_int(r, d))

@@ -51,12 +51,14 @@ def multinomial(counts) -> int:
     return result
 
 
-def rank_indices(word: Sequence, size: int | None = None) -> int:
-    """Rank of a word within its class, lexicographic order.
+def rank_indices(word: Sequence, ordered: Sequence, size: int | None = None) -> int:
+    """Rank of a word within the class of the sorted word ``ordered``.
 
-    ``size`` may pass a precomputed class size to skip recomputing it.
+    ``ordered`` must be ``sorted(word)``; callers usually have it already
+    as the class key. ``size`` may pass a precomputed class size to skip
+    recomputing it.
     """
-    remaining = sorted(word)
+    remaining = list(ordered)
     if size is None:
         size = multinomial(Counter(remaining).values())
     rank_value = 0
@@ -105,7 +107,8 @@ def rank(block: Sequence[str], alphabet: Alphabet) -> int:
     """Number of classmates of ``block`` that are lexicographically smaller."""
     if len(block) == 0:
         raise ValueError("block must contain at least one symbol")
-    return rank_indices(block_to_indices(block, alphabet))
+    indices = block_to_indices(block, alphabet)
+    return rank_indices(indices, sorted(indices))
 
 
 def unrank(comp: Composition, index: int, alphabet: Alphabet) -> Block:

@@ -6,6 +6,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from scipy.stats import chi2
 
 from permsteg import (
     Alphabet,
@@ -100,6 +101,16 @@ class TestChiSquare:
         stat, p = chi_square_gof(observed, expected)  # c and d pool into one cell
         assert stat > 0.0
         assert 0.0 < p <= 1.0
+
+    def test_p_value_is_scipy_chi2_tail(self):
+        # 64 draws: a, b expect 24 each; c..f expect 4 each and pool into
+        # one cell expecting 16 (observed 17), so 3 cells and 2 degrees of freedom.
+        expected = {"a": Fraction(3, 8), "b": Fraction(3, 8)}
+        expected.update({k: Fraction(1, 16) for k in "cdef"})
+        observed = {"a": 20, "b": 27, "c": 3, "d": 6, "e": 5, "f": 3}
+        stat, p = chi_square_gof(observed, expected)
+        assert stat == pytest.approx(16 / 24 + 9 / 24 + 1 / 16, rel=1e-12)
+        assert p == float(chi2.sf(stat, 2))
 
     def test_degenerate_cells(self):
         with pytest.raises(DegenerateCells):
