@@ -199,7 +199,8 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
 @main.command()
 @click.option("--alphabet", "alphabet_path", required=True, help="Alphabet file.")
 @click.option("--scheme", type=click.Choice(["st2", "stn"]), default="stn", show_default=True)
-@click.option("--block-size", "-n", "block_size", type=int, default=2, show_default=True)
+@click.option("--block-size", "-n", "block_size", type=int, default=2, show_default=True,
+              help="Block length for the stn scheme (ignored by st2).")
 @click.option("--stego", "stego_path", required=True, help="Stego stream file to decode.")
 @click.option("--out", "out_path", required=True, help="Recovered payload output file (raw bytes).")
 @click.option("--frame-length", is_flag=True,

@@ -10,13 +10,15 @@ counts, so under an i.i.d. cover source its distribution is unchanged.
   One trailing unpaired symbol passes through unchanged.
 
 * Block scheme (``stn_*``): the stream is split into blocks of n symbols.
-  For each block the codec forms its permutation class, draws a payload
-  length d with the band distribution of the class size (see
-  :mod:`permsteg.payload`), reads d payload bits MSB-first as a value r,
-  and emits the classmate whose rank is the band index for (d, r). The
-  receiver recomputes the class from the received block (letter counts are
-  preserved), ranks it, and inverts the band code; no shared randomness is
-  involved in decoding. A trailing partial block passes through unchanged.
+  A block's permutation class is named by the block's letters in sorted
+  order, and its size is the multinomial of their counts. For each block
+  the codec draws a payload length d with the band distribution of the
+  class size (see :mod:`permsteg.payload`), reads d payload bits
+  MSB-first as a value r, and emits the classmate whose rank is the band
+  index for (d, r). The receiver recomputes the class from the received
+  block (letter counts are preserved), ranks it, and inverts the band
+  code; no shared randomness is involved in decoding. A trailing partial
+  block passes through unchanged.
 
 When the caller's payload runs out mid-stream, further payload bits are
 drawn from a dedicated padding generator and counted separately, which
@@ -27,20 +29,21 @@ payload; it returns every bit the embedder consumed, in order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .alphabet import Alphabet, Composition
+from .alphabet import Alphabet
 from .bits import bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import BinaryExpansion, decode_index, encode_index, expand, sample_delta
-from .ranking import rank_indices, unrank_indices
+from .ranking import multinomial, rank_indices, unrank_indices
 
-# Full member tables are built for a class only once it has repeated enough
-# to amortize the enumeration (hits scale with the class size), so streams
-# with recurring small compositions trade memory for speed while one-off
+# Embed builds a full member table for a class only once it has repeated
+# enough to amortize the enumeration (hits scale with the class size), and
+# extract remembers the decoding of each distinct block of a small class, so
+# streams with recurring small classes trade memory for speed while one-off
 # classes (large alphabets) stay on the rank/unrank path.
 _MEMBER_TABLE_MAX_CLASS = 2048
 _MEMBER_TABLE_HIT_FACTOR = 24
@@ -50,13 +53,13 @@ _MEMBER_TABLE_BUDGET = 1 << 21
 class BlockTrace(NamedTuple):
     """What one embedded block did.
 
-    ``delta`` is the number of payload bits the block carried, ``payload``
+    ``class_size`` is the number of words with the block's letter counts,
+    ``delta`` the number of payload bits the block carried, ``payload``
     their MSB-first integer value, and ``index`` the emitted word's rank
     within its permutation class. ``forced`` marks a test-hook override of
     the payload-length draw.
     """
 
-    composition: Composition
     class_size: int
     delta: int
     payload: int
@@ -70,6 +73,13 @@ class ExtractTrace(NamedTuple):
     delta: int
     payload: int
     index: int
+
+
+# A pair carries no bit (equal letters, class size 1) or one bit b, which is
+# also its index in a class of 2; so each side of the pair scheme has three
+# possible records, indexed here by 0 (no bit) and 1 + b.
+_PAIR_EMBED_TRACE = (BlockTrace(1, 0, 0, 0), BlockTrace(2, 1, 0, 0), BlockTrace(2, 1, 1, 1))
+_PAIR_EXTRACT_TRACE = (ExtractTrace(0, 0, 0), ExtractTrace(1, 0, 0), ExtractTrace(1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -130,25 +140,19 @@ class _BitFeed:
 
 
 class _ClassInfo:
-    """Cached per-composition data: size, expansion, optional member table.
+    """One embed call's data for a class: size, expansion, optional member table."""
 
-    ``key`` is the class's sorted token tuple, shared with the cache's key.
-    """
+    __slots__ = ("size", "exp", "hits", "pending", "members")
 
-    __slots__ = ("key", "comp", "size", "exp", "hits", "pending", "members", "ranks")
-
-    def __init__(self, key: tuple[str, ...], comp: Composition, size: int):
-        self.key = key
-        self.comp = comp
+    def __init__(self, size: int):
         self.size = size
         self.exp: BinaryExpansion = expand(size)
         self.hits = 0
         self.pending = size <= _MEMBER_TABLE_MAX_CLASS
         self.members: list[tuple[str, ...]] | None = None
-        self.ranks: dict[tuple[str, ...], int] | None = None
 
 
-def _class_members(sorted_word: list) -> list[tuple]:
+def _class_members(sorted_word: Sequence) -> list[tuple]:
     """All distinct rearrangements in lexicographic order (next-permutation walk).
 
     Works for any comparable elements; canonical token order is plain string
@@ -169,69 +173,6 @@ def _class_members(sorted_word: list) -> list[tuple]:
         word[i], word[j] = word[j], word[i]
         word[i + 1 :] = word[last:i:-1]
         members.append(tuple(word))
-
-
-def _composition_and_size(indices: Sequence[int], n: int) -> tuple[Composition, int]:
-    """Composition and class size from a canonically sorted index sequence."""
-    counts: list[tuple[int, int]] = []
-    run_sym = indices[0]
-    run = 1
-    total = 0
-    size = 1
-    for sym in indices[1:]:
-        if sym == run_sym:
-            run += 1
-        else:
-            counts.append((run_sym, run))
-            total += run
-            size *= comb(total, run)
-            run_sym, run = sym, 1
-    counts.append((run_sym, run))
-    size *= comb(total + run, run)
-    return Composition(tuple(counts), n), size
-
-
-class _ClassCache:
-    """Class cache keyed by the sorted token multiset of a block.
-
-    Shared by one embed or extract invocation. Tokens are only resolved to
-    alphabet indices the first time a class appears (which is also where
-    unknown symbols surface); afterwards blocks hit the cache as plain
-    token tuples.
-    """
-
-    __slots__ = ("_table", "_index", "_budget")
-
-    def __init__(self, index: dict[str, int]) -> None:
-        self._table: dict[tuple[str, ...], _ClassInfo] = {}
-        self._index = index
-        self._budget = _MEMBER_TABLE_BUDGET
-
-    def lookup(self, chunk: Sequence[str], n: int) -> _ClassInfo:
-        key = tuple(sorted(chunk))
-        info = self._table.get(key)
-        if info is None:
-            index = self._index
-            try:
-                resolved = [index[t] for t in key]
-            except KeyError as exc:
-                raise UnknownSymbol(
-                    f"symbol {exc.args[0]!r} is not in the alphabet"
-                ) from None
-            info = _ClassInfo(key, *_composition_and_size(resolved, n))
-            self._table[key] = info
-        info.hits += 1
-        if (
-            info.pending
-            and info.hits >= 2
-            and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size
-        ):
-            info.pending = False
-            if info.size <= self._budget:
-                info.members = _class_members(list(key))
-                info.ranks = {member: i for i, member in enumerate(info.members)}
-                self._budget -= info.size
-        return info
 
 
 def _symbol_indexer(alphabet: Alphabet) -> dict[str, int]:
@@ -275,14 +216,14 @@ def st2_embed(
         if a == i:
             out.append(symbols[a])
             out.append(symbols[a])
-            trace.append(BlockTrace(Composition(((a, 2),), 2), 1, 0, 0, 0))
+            trace.append(_PAIR_EMBED_TRACE[0])
         else:
             bit = feed.read_int(1)
             lo, hi = (a, i) if a < i else (i, a)
             first, second = (lo, hi) if bit == 0 else (hi, lo)
             out.append(symbols[first])
             out.append(symbols[second])
-            trace.append(BlockTrace(Composition(((lo, 1), (hi, 1)), 2), 2, 1, bit, bit))
+            trace.append(_PAIR_EMBED_TRACE[1 + bit])
     if pending is not None:
         out.append(symbols[pending])
     return EmbedResult(tuple(out), feed.genuine, feed.padding, tuple(trace))
@@ -305,11 +246,11 @@ def st2_extract(stego: Iterable[str], alphabet: Alphabet) -> ExtractResult:
             continue
         a, pending = pending, None
         if a == i:
-            trace.append(ExtractTrace(0, 0, 0))
+            trace.append(_PAIR_EXTRACT_TRACE[0])
         else:
             bit = 0 if a < i else 1
             bits.append(bit)
-            trace.append(ExtractTrace(1, bit, bit))
+            trace.append(_PAIR_EXTRACT_TRACE[1 + bit])
     return ExtractResult(tuple(bits), tuple(trace))
 
 
@@ -333,7 +274,8 @@ def stn_embed(
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
     feed = _BitFeed(hidden, padding_rng)
-    cache = _ClassCache(index)
+    classes: dict[tuple[str, ...], _ClassInfo] = {}
+    budget = _MEMBER_TABLE_BUDGET
     forced = force_delta is not None
     out: list[str] = []
     trace: list[BlockTrace] = []
@@ -344,15 +286,29 @@ def stn_embed(
             _validate_tokens(chunk, index)
             out.extend(chunk)  # trailing partial block, untouched
             break
-        info = cache.lookup(chunk, n)
+        key = tuple(sorted(chunk))
+        info = classes.get(key)
+        if info is None:
+            _validate_tokens(key, index)
+            info = classes[key] = _ClassInfo(multinomial(Counter(key).values()))
+        info.hits += 1
+        if (
+            info.pending
+            and info.hits >= 2
+            and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size
+        ):
+            info.pending = False
+            if info.size <= budget:
+                info.members = _class_members(key)
+                budget -= info.size
         d = sample_delta(info.exp, delta_rng, forced=force_delta)
         r = feed.read_int(d)
         tau = encode_index(info.exp, d, r)
         if info.members is not None:
             out.extend(info.members[tau])
         else:
-            out.extend(unrank_indices(info.key, tau, info.size))
-        trace.append(BlockTrace(info.comp, info.size, d, r, tau, forced))
+            out.extend(unrank_indices(key, tau, info.size))
+        trace.append(BlockTrace(info.size, d, r, tau, forced))
     return EmbedResult(tuple(out), feed.genuine, feed.padding, tuple(trace))
 
 
@@ -362,24 +318,28 @@ def stn_extract(stego: Iterable[str], n: int, alphabet: Alphabet) -> ExtractResu
         raise InvalidBlockLength(f"block length must be >= 2, got {n}")
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
-    cache = _ClassCache(index)
+    decoded: dict[tuple[str, ...], tuple[ExtractTrace, tuple[int, ...]]] = {}
     bits: list[int] = []
     trace: list[ExtractTrace] = []
     stream = iter(stego)
     while True:
-        chunk = list(islice(stream, n))
+        chunk = tuple(islice(stream, n))
         if len(chunk) < n:
             _validate_tokens(chunk, index)  # trailing partial block yields nothing
             break
-        info = cache.lookup(chunk, n)
-        if info.ranks is not None:
-            tau = info.ranks[tuple(chunk)]
-        else:
-            tau = rank_indices(chunk, info.key, info.size)
-        d, r = decode_index(info.exp, tau)
-        if d:
-            bits.extend(bits_from_int(r, d))
-        trace.append(ExtractTrace(d, r, tau))
+        known = decoded.get(chunk)
+        if known is None:
+            _validate_tokens(chunk, index)
+            key = sorted(chunk)
+            size = multinomial(Counter(key).values())
+            tau = rank_indices(chunk, key, size)
+            d, r = decode_index(expand(size), tau)
+            known = (ExtractTrace(d, r, tau), tuple(bits_from_int(r, d)))
+            if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
+                decoded[chunk] = known
+        rec, block_bits = known
+        bits.extend(block_bits)
+        trace.append(rec)
     return ExtractResult(tuple(bits), tuple(trace))
 
 

@@ -241,6 +241,11 @@ class TestSchemeCoincidence:
                     assert [r.delta for r in pair.trace] == [
                         r.delta for r in block.trace
                     ]
+                    assert pair.trace == block.trace
+                    pair_out = st2_extract(pair.stego, ABC)
+                    block_out = stn_extract(block.stego, 2, ABC)
+                    assert pair_out.bits == block_out.bits
+                    assert pair_out.trace == block_out.trace
 
     def test_no_delta_randomness_consumed_for_n2(self):
         delta_rng = random.Random(123)

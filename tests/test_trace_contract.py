@@ -3,9 +3,11 @@
 ``bench/tracing.py`` wraps functions by name in the ``permsteg.codec`` and
 ``permsteg.cli`` namespaces. Its name tables are read from the file as
 literals, so the benchmark code is neither imported nor run here. The
-benchmark derives its member-table hit ratio from the rank/unrank call
-counts, so the codec calls each of them once per block that misses the
-member tables, and not at all for a block that hits them.
+benchmark derives its member-table hit ratio from the unrank call count,
+so embed calls unrank once per block that misses the member tables, and
+not at all for a block that hits them. Extract keeps no member tables: it
+ranks each distinct block of a small class once and looks up its decoding
+afterwards, and ranks every block of a larger class.
 """
 
 import ast
@@ -64,16 +66,18 @@ def _round_trip_calls(monkeypatch, k, n, blocks):
     assert embedded.blocks == blocks
     assert not rank_calls
     stn_extract(embedded.stego, n, alphabet)
-    return len(unrank_calls), len(rank_calls)
+    distinct = len(set(zip(*[iter(embedded.stego)] * n)))
+    return len(unrank_calls), len(rank_calls), distinct
 
 
 def test_one_rank_and_unrank_call_per_block_without_member_tables(monkeypatch):
     # uniform k=256, n=16: classes almost never recur, so no tables are built
-    assert _round_trip_calls(monkeypatch, 256, 16, 200) == (200, 200)
+    assert _round_trip_calls(monkeypatch, 256, 16, 200)[:2] == (200, 200)
 
 
 def test_member_table_hits_skip_rank_and_unrank(monkeypatch):
     # k=3, n=4: at most 15 classes of at most 12 members, recurring often
-    unranks, ranks = _round_trip_calls(monkeypatch, 3, 4, 600)
+    unranks, ranks, distinct = _round_trip_calls(monkeypatch, 3, 4, 600)
     assert 0 < unranks < 600
     assert 0 < ranks < 600
+    assert ranks == distinct
