@@ -6,20 +6,24 @@ masking it, as the codec's payload feed does.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+_BYTE_BITS = tuple(tuple((byte >> shift) & 1 for shift in range(7, -1, -1)) for byte in range(256))
 
 
 def _bad_bit(bit) -> ValueError:
     return ValueError(f"bit must be 0 or 1, got {bit!r}")
 
 
+def iter_bits(data: bytes) -> Iterator[int]:
+    """The bits of ``data`` as 0/1 ints, MSB first, produced lazily."""
+    return chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
+
+
 def bytes_to_bits(data: bytes) -> list[int]:
     """Unpack bytes into a list of 0/1 ints, MSB first."""
-    out: list[int] = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            out.append((byte >> shift) & 1)
-    return out
+    return list(iter_bits(data))
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:

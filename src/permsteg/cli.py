@@ -11,6 +11,14 @@ Exit 2 is also click's own code for usage errors, such as a missing or
 unknown option; those print click's ``Error: ...`` usage message instead
 of an ``error: ...`` line.
 
+``embed`` and ``extract`` stream from file to file: tokens are read in
+batches, the codec works a piece of whole blocks at a time, and stego
+tokens are written per piece, so memory does not grow with the file's
+length. ``extract`` keeps its recovered bits one byte per bit, and with
+``--frame-length`` only the frame's bits. Both write ``--out`` atomically:
+to a temporary file beside it, renamed into place only on success. A
+failure leaves no temporary file and leaves an existing ``--out`` as it was.
+
 A payload longer than the cover can carry is embedded only in part. Without
 ``--frame-length`` the embed still exits 0 and ``bits_embedded`` in the
 summary says how many leading bits went in. With ``--frame-length`` a
@@ -20,12 +28,16 @@ since the receiver could not unframe it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import random
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import click
 
@@ -40,8 +52,15 @@ from .analysis import (
     shannon_entropy,
     st2_rate,
 )
-from .bits import bits_to_bytes, bytes_to_bits
-from .codec import frame_payload, st2_embed, st2_extract, stn_embed, stn_extract, unframe_bits
+from .bits import bits_to_bytes, int_from_bits, iter_bits
+from .codec import (
+    frame_payload,
+    st2_embed_pieces,
+    st2_extract_pieces,
+    stn_embed_pieces,
+    stn_extract_pieces,
+    unframe_bits,
+)
 from .errors import (
     DegenerateCells,
     EmptyTrace,
@@ -57,9 +76,17 @@ from .errors import (
 )
 from .sources import draw_cover, load_model
 
+# The benchmark's tracer (bench/tracing.py) wraps these names in this module.
+# The commands no longer call them: they stream through the *_pieces generators.
+from .bits import bytes_to_bits  # noqa: F401
+from .codec import st2_embed, st2_extract, stn_embed, stn_extract  # noqa: F401
+
 EXIT_IO = 2
 EXIT_UNKNOWN_SYMBOL = 3
 EXIT_CONFIG = 4
+
+# Lines of a token file are read in batches of about this many bytes.
+_READ_BATCH_BYTES = 1 << 16
 
 _CONFIG_ERRORS = (
     InvalidAlphabet,
@@ -99,16 +126,54 @@ def _guarded(fn):
     return wrapper
 
 
-def _read_tokens(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in (raw.strip() for raw in fh) if line]
+def _read_tokens(fh) -> list[str] | None:
+    """Tokens on the next batch of lines of an open text file; None at its end."""
+    lines = fh.readlines(_READ_BATCH_BYTES)
+    return [token for token in map(str.strip, lines) if token] if lines else None
 
 
-def _write_tokens(path: str, tokens) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in tokens:
-            fh.write(token)
-            fh.write("\n")
+class _TokenStream:
+    """The tokens of an open text file, read batch by batch as they are used.
+
+    Iterate once; ``count`` is the number of tokens read so far.
+    """
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.count = 0
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._batches())
+
+    def _batches(self) -> Iterator[list[str]]:
+        while (batch := _read_tokens(self._fh)) is not None:
+            self.count += len(batch)
+            yield batch
+
+
+def _write_tokens(fh, tokens: Sequence[str]) -> None:
+    """Write tokens to an open text file, one per line."""
+    if tokens:
+        fh.write("\n".join(tokens))
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def _atomic_out(path: str, binary: bool = False):
+    """Write to a new file beside ``path``, renamed over it only on success.
+
+    On any failure the temporary file is removed and ``path`` is untouched.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(summary: dict) -> None:
@@ -153,42 +218,49 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
           seed_delta, seed_padding, frame_length, force_delta) -> None:
     """Embed a hidden payload into a cover stream."""
     alphabet = Alphabet.from_file(alphabet_path)
-    cover = _read_tokens(cover_path)
-    with open(hidden_path, "rb") as fh:
-        payload = fh.read()
-    if frame_length:
-        payload = frame_payload(payload)
-    hidden = bytes_to_bits(payload)
-    if scheme == "st2":
-        if force_delta is not None:
-            raise ValueError("--force-delta applies to the stn scheme only")
-        result = st2_embed(cover, hidden, alphabet, random.Random(seed_padding))
-        block_size = 2
-    else:
-        result = stn_embed(
-            cover,
-            hidden,
-            block_size,
-            alphabet,
-            random.Random(seed_delta),
-            random.Random(seed_padding),
-            force_delta=force_delta,
-        )
-    if frame_length and result.bits_embedded < len(hidden):
-        raise ValueError(
-            f"framed payload of {len(hidden)} bits does not fit the cover: "
-            f"bits_embedded {result.bits_embedded}"
-        )
-    _write_tokens(out_path, result.stego)
+    with open(cover_path, "r", encoding="utf-8") as cover_fh:
+        with open(hidden_path, "rb") as fh:
+            payload = fh.read()
+        if frame_length:
+            payload = frame_payload(payload)
+        cover = _TokenStream(cover_fh)
+        hidden = iter_bits(payload)
+        if scheme == "st2":
+            if force_delta is not None:
+                raise ValueError("--force-delta applies to the stn scheme only")
+            pieces = st2_embed_pieces(cover, hidden, alphabet, random.Random(seed_padding))
+            block_size = 2
+        else:
+            pieces = stn_embed_pieces(
+                cover,
+                hidden,
+                block_size,
+                alphabet,
+                random.Random(seed_delta),
+                random.Random(seed_padding),
+                force_delta=force_delta,
+            )
+        blocks = bits_embedded = padding_bits = 0
+        with _atomic_out(out_path) as out:
+            for piece in pieces:
+                _write_tokens(out, piece.stego)
+                blocks += piece.blocks
+                bits_embedded += piece.bits_embedded
+                padding_bits += piece.padding_bits
+            if frame_length and bits_embedded < 8 * len(payload):
+                raise ValueError(
+                    f"framed payload of {8 * len(payload)} bits does not fit the cover: "
+                    f"bits_embedded {bits_embedded}"
+                )
     summary = {
         "scheme": scheme,
         "block_size": block_size,
-        "cover_symbols": len(cover),
-        "blocks": result.blocks,
-        "bits_embedded": result.bits_embedded,
-        "padding_bits": result.padding_bits,
-        "bits_per_symbol": result.bits_embedded / len(cover) if cover else 0.0,
-        "bits_per_block": result.bits_embedded / result.blocks if result.blocks else 0.0,
+        "cover_symbols": cover.count,
+        "blocks": blocks,
+        "bits_embedded": bits_embedded,
+        "padding_bits": padding_bits,
+        "bits_per_symbol": bits_embedded / cover.count if cover.count else 0.0,
+        "bits_per_block": bits_embedded / blocks if blocks else 0.0,
         "seeds": {"delta": seed_delta, "padding": seed_padding},
     }
     if force_delta is not None:
@@ -209,23 +281,36 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
 def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_length) -> None:
     """Recover the embedded bit stream from a stego stream."""
     alphabet = Alphabet.from_file(alphabet_path)
-    stego = _read_tokens(stego_path)
-    if scheme == "st2":
-        result = st2_extract(stego, alphabet)
-    else:
-        result = stn_extract(stego, block_size, alphabet)
+    # One byte per recovered bit; framed, only the frame's bits are kept.
+    bits = bytearray()
+    recovered = 0
+    frame_bits = None
+    with open(stego_path, "r", encoding="utf-8") as fh:
+        stego = _TokenStream(fh)
+        if scheme == "st2":
+            pieces = st2_extract_pieces(stego, alphabet)
+        else:
+            pieces = stn_extract_pieces(stego, block_size, alphabet)
+        for piece in pieces:
+            recovered += len(piece.bits)
+            if frame_bits is None or len(bits) < frame_bits:
+                bits.extend(piece.bits)
+                if frame_length and frame_bits is None and len(bits) >= 32:
+                    frame_bits = 32 + 8 * int_from_bits(bits[:32])
+                if frame_bits is not None:
+                    del bits[frame_bits:]
     if frame_length:
-        payload = unframe_bits(result.bits)
+        payload = unframe_bits(bits)
         payload_bits = 8 * len(payload)
     else:
-        payload = bits_to_bytes(result.bits)
-        payload_bits = len(result.bits)
-    with open(out_path, "wb") as fh:
-        fh.write(payload)
+        payload = bits_to_bytes(bits)
+        payload_bits = recovered
+    with _atomic_out(out_path, binary=True) as out:
+        out.write(payload)
     _emit({
         "scheme": scheme,
-        "stego_symbols": len(stego),
-        "bits_recovered": len(result.bits),
+        "stego_symbols": stego.count,
+        "bits_recovered": recovered,
         "payload_bits": payload_bits,
         "payload_bytes": len(payload),
         "framed": frame_length,
@@ -245,7 +330,8 @@ def generate(model_path, count, seed_source, out_path) -> None:
     if count < 0:
         raise ValueError("--count must be >= 0")
     cover = draw_cover(model, count, random.Random(seed_source))
-    _write_tokens(out_path, cover)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        _write_tokens(fh, cover)
     _emit({
         "count": count,
         "model_digest": model_digest(model),

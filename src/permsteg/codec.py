@@ -24,15 +24,27 @@ When the caller's payload runs out mid-stream, further payload bits are
 drawn from a dedicated padding generator and counted separately, which
 keeps the emitted distribution intact. Extraction cannot tell padding from
 payload; it returns every bit the embedder consumed, in order.
+
+Each direction of each scheme is one generator that keeps one state for the
+whole stream (bit feed, random generators, class table, decode map) and
+yields an ``EmbedResult`` or ``ExtractResult`` per piece of whole blocks;
+only the last piece holds a trailing partial block. The ``*_pieces``
+functions yield pieces of at most ``_PIECE_SYMBOLS`` symbols, and the caches
+are capped in entry count, so a caller that consumes the pieces one by one,
+as the CLI does, holds memory independent of stream length. ``st2_embed``,
+``stn_embed`` and the extract functions run the same generators with the
+whole stream as one piece, so a stream's pieces joined equal its
+whole-stream result.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
 from .bits import bits_from_int, bits_to_bytes, int_from_bits
@@ -44,10 +56,19 @@ from .ranking import multinomial, rank_indices, unrank_indices
 # enough to amortize the enumeration (hits scale with the class size), and
 # extract remembers the decoding of each distinct block of a small class, so
 # streams with recurring small classes trade memory for speed while one-off
-# classes (large alphabets) stay on the rank/unrank path.
+# classes (large alphabets) stay on the rank/unrank path. Embed's class table
+# keeps only classes small enough for a member table, and it and extract's
+# decode map are capped at _MEMBER_TABLE_BUDGET entries.
 _MEMBER_TABLE_MAX_CLASS = 2048
 _MEMBER_TABLE_HIT_FACTOR = 24
 _MEMBER_TABLE_BUDGET = 1 << 21
+# Symbols per piece of the *_pieces functions (whole blocks, or one block
+# when a block is longer). Larger pieces raise the CLI's peak memory (by
+# ~14 MB at 2**18 on 5*10**5-token files); smaller ones save under 1 MB more.
+_PIECE_SYMBOLS = 1 << 12
+# The whole-stream functions run the generators with a single piece, since
+# joining pieces would copy every output symbol, bit and record once more.
+_WHOLE_STREAM = sys.maxsize
 
 
 class BlockTrace(NamedTuple):
@@ -140,7 +161,7 @@ class _BitFeed:
 
 
 class _ClassInfo:
-    """One embed call's data for a class: size, expansion, optional member table."""
+    """One embed stream's data for a class: size, expansion, optional member table."""
 
     __slots__ = ("size", "exp", "hits", "pending", "members")
 
@@ -190,6 +211,179 @@ def _require_codec_alphabet(alphabet: Alphabet) -> None:
         raise InvalidAlphabet("codec use requires an alphabet of at least 2 symbols")
 
 
+def _st2_embed(
+    piece_symbols: int,
+    cover: Iterable[str],
+    hidden: Iterable[int],
+    alphabet: Alphabet,
+    padding_rng: random.Random,
+) -> Iterator[EmbedResult]:
+    _require_codec_alphabet(alphabet)
+    index = _symbol_indexer(alphabet)
+    symbols = alphabet.symbols
+    feed = _BitFeed(hidden, padding_rng)
+    piece_symbols = 2 * max(1, piece_symbols // 2)
+    stream = iter(cover)
+    done = False
+    while not done:
+        chunk = list(islice(stream, piece_symbols))
+        done = len(chunk) < piece_symbols
+        genuine, padding = feed.genuine, feed.padding
+        out: list[str] = []
+        trace: list[BlockTrace] = []
+        pairs = iter(chunk)
+        for x, y in zip(pairs, pairs):
+            try:
+                a, i = index[x], index[y]
+            except KeyError as exc:
+                raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+            if a == i:
+                out.append(symbols[a])
+                out.append(symbols[a])
+                trace.append(_PAIR_EMBED_TRACE[0])
+            else:
+                bit = feed.read_int(1)
+                lo, hi = (a, i) if a < i else (i, a)
+                first, second = (lo, hi) if bit == 0 else (hi, lo)
+                out.append(symbols[first])
+                out.append(symbols[second])
+                trace.append(_PAIR_EMBED_TRACE[1 + bit])
+        if len(chunk) % 2:
+            _validate_tokens(chunk[-1:], index)
+            out.append(chunk[-1])  # trailing unpaired symbol, untouched
+        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(trace))
+
+
+def _st2_extract(
+    piece_symbols: int, stego: Iterable[str], alphabet: Alphabet
+) -> Iterator[ExtractResult]:
+    _require_codec_alphabet(alphabet)
+    index = _symbol_indexer(alphabet)
+    piece_symbols = 2 * max(1, piece_symbols // 2)
+    stream = iter(stego)
+    done = False
+    while not done:
+        chunk = list(islice(stream, piece_symbols))
+        done = len(chunk) < piece_symbols
+        bits: list[int] = []
+        trace: list[ExtractTrace] = []
+        pairs = iter(chunk)
+        for x, y in zip(pairs, pairs):
+            try:
+                a, i = index[x], index[y]
+            except KeyError as exc:
+                raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+            if a == i:
+                trace.append(_PAIR_EXTRACT_TRACE[0])
+            else:
+                bit = 0 if a < i else 1
+                bits.append(bit)
+                trace.append(_PAIR_EXTRACT_TRACE[1 + bit])
+        if len(chunk) % 2:
+            _validate_tokens(chunk[-1:], index)  # trailing unpaired symbol yields nothing
+        yield ExtractResult(tuple(bits), tuple(trace))
+
+
+def _stn_embed(
+    piece_symbols: int,
+    cover: Iterable[str],
+    hidden: Iterable[int],
+    n: int,
+    alphabet: Alphabet,
+    delta_rng: random.Random,
+    padding_rng: random.Random,
+    force_delta: int | None,
+) -> Iterator[EmbedResult]:
+    if n < 2:
+        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
+    _require_codec_alphabet(alphabet)
+    index = _symbol_indexer(alphabet)
+    feed = _BitFeed(hidden, padding_rng)
+    # Only classes that may still get a member table are remembered.
+    classes: dict[tuple[str, ...], _ClassInfo] = {}
+    budget = _MEMBER_TABLE_BUDGET
+    forced = force_delta is not None
+    piece_blocks = max(1, piece_symbols // n)
+    stream = iter(cover)
+    done = False
+    while not done:
+        genuine, padding = feed.genuine, feed.padding
+        out: list[str] = []
+        trace: list[BlockTrace] = []
+        for _ in range(piece_blocks):
+            chunk = list(islice(stream, n))
+            if len(chunk) < n:
+                _validate_tokens(chunk, index)
+                out.extend(chunk)  # trailing partial block, untouched
+                done = True
+                break
+            key = tuple(sorted(chunk))
+            info = classes.get(key)
+            if info is None:
+                _validate_tokens(key, index)
+                info = _ClassInfo(multinomial(Counter(key).values()))
+                if info.pending and len(classes) < _MEMBER_TABLE_BUDGET:
+                    classes[key] = info
+            info.hits += 1
+            if (
+                info.pending
+                and info.hits >= 2
+                and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size
+            ):
+                info.pending = False
+                if info.size <= budget:
+                    info.members = _class_members(key)
+                    budget -= info.size
+            d = sample_delta(info.exp, delta_rng, forced=force_delta)
+            r = feed.read_int(d)
+            tau = encode_index(info.exp, d, r)
+            if info.members is not None:
+                out.extend(info.members[tau])
+            else:
+                out.extend(unrank_indices(key, tau, info.size))
+            trace.append(BlockTrace(info.size, d, r, tau, forced))
+        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(trace))
+
+
+def _stn_extract(
+    piece_symbols: int, stego: Iterable[str], n: int, alphabet: Alphabet
+) -> Iterator[ExtractResult]:
+    if n < 2:
+        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
+    _require_codec_alphabet(alphabet)
+    index = _symbol_indexer(alphabet)
+    decoded: dict[tuple[str, ...], tuple[ExtractTrace, list[int]]] = {}
+    piece_blocks = max(1, piece_symbols // n)
+    stream = iter(stego)
+    done = False
+    while not done:
+        bits: list[int] = []
+        trace: list[ExtractTrace] = []
+        for _ in range(piece_blocks):
+            chunk = tuple(islice(stream, n))
+            if len(chunk) < n:
+                _validate_tokens(chunk, index)  # trailing partial block yields nothing
+                done = True
+                break
+            known = decoded.get(chunk)
+            if known is None:
+                _validate_tokens(chunk, index)
+                key = sorted(chunk)
+                size = multinomial(Counter(key).values())
+                tau = rank_indices(chunk, key, size)
+                d, r = decode_index(expand(size), tau)
+                # A list, not a tuple: CPython keeps freed tuples of up to
+                # 20 items on per-length free lists, which one-off blocks of
+                # varying payload length fill until the next full collection.
+                known = (ExtractTrace(d, r, tau), bits_from_int(r, d))
+                if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
+                    decoded[chunk] = known
+            rec, block_bits = known
+            bits.extend(block_bits)
+            trace.append(rec)
+        yield ExtractResult(tuple(bits), tuple(trace))
+
+
 def st2_embed(
     cover: Iterable[str],
     hidden: Iterable[int],
@@ -197,61 +391,29 @@ def st2_embed(
     padding_rng: random.Random,
 ) -> EmbedResult:
     """Pair-based embedding: equal pairs pass, distinct pairs carry one bit."""
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    symbols = alphabet.symbols
-    feed = _BitFeed(hidden, padding_rng)
-    out: list[str] = []
-    trace: list[BlockTrace] = []
-    pending: int | None = None
-    for token in cover:
-        try:
-            i = index[token]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {token!r} is not in the alphabet") from None
-        if pending is None:
-            pending = i
-            continue
-        a, pending = pending, None
-        if a == i:
-            out.append(symbols[a])
-            out.append(symbols[a])
-            trace.append(_PAIR_EMBED_TRACE[0])
-        else:
-            bit = feed.read_int(1)
-            lo, hi = (a, i) if a < i else (i, a)
-            first, second = (lo, hi) if bit == 0 else (hi, lo)
-            out.append(symbols[first])
-            out.append(symbols[second])
-            trace.append(_PAIR_EMBED_TRACE[1 + bit])
-    if pending is not None:
-        out.append(symbols[pending])
-    return EmbedResult(tuple(out), feed.genuine, feed.padding, tuple(trace))
+    (whole,) = _st2_embed(_WHOLE_STREAM, cover, hidden, alphabet, padding_rng)
+    return whole
+
+
+def st2_embed_pieces(
+    cover: Iterable[str],
+    hidden: Iterable[int],
+    alphabet: Alphabet,
+    padding_rng: random.Random,
+) -> Iterator[EmbedResult]:
+    """st2_embed over a stream, in pieces of at most _PIECE_SYMBOLS symbols."""
+    return _st2_embed(_PIECE_SYMBOLS, cover, hidden, alphabet, padding_rng)
 
 
 def st2_extract(stego: Iterable[str], alphabet: Alphabet) -> ExtractResult:
     """Invert st2_embed: ascending distinct pair -> 0, descending -> 1."""
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    bits: list[int] = []
-    trace: list[ExtractTrace] = []
-    pending: int | None = None
-    for token in stego:
-        try:
-            i = index[token]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {token!r} is not in the alphabet") from None
-        if pending is None:
-            pending = i
-            continue
-        a, pending = pending, None
-        if a == i:
-            trace.append(_PAIR_EXTRACT_TRACE[0])
-        else:
-            bit = 0 if a < i else 1
-            bits.append(bit)
-            trace.append(_PAIR_EXTRACT_TRACE[1 + bit])
-    return ExtractResult(tuple(bits), tuple(trace))
+    (whole,) = _st2_extract(_WHOLE_STREAM, stego, alphabet)
+    return whole
+
+
+def st2_extract_pieces(stego: Iterable[str], alphabet: Alphabet) -> Iterator[ExtractResult]:
+    """st2_extract over a stream, in pieces of at most _PIECE_SYMBOLS symbols."""
+    return _st2_extract(_PIECE_SYMBOLS, stego, alphabet)
 
 
 def stn_embed(
@@ -269,78 +431,42 @@ def stn_embed(
     hook); it must be admissible for every block encountered, and the
     override is recorded on each trace record.
     """
-    if n < 2:
-        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    feed = _BitFeed(hidden, padding_rng)
-    classes: dict[tuple[str, ...], _ClassInfo] = {}
-    budget = _MEMBER_TABLE_BUDGET
-    forced = force_delta is not None
-    out: list[str] = []
-    trace: list[BlockTrace] = []
-    stream = iter(cover)
-    while True:
-        chunk = list(islice(stream, n))
-        if len(chunk) < n:
-            _validate_tokens(chunk, index)
-            out.extend(chunk)  # trailing partial block, untouched
-            break
-        key = tuple(sorted(chunk))
-        info = classes.get(key)
-        if info is None:
-            _validate_tokens(key, index)
-            info = classes[key] = _ClassInfo(multinomial(Counter(key).values()))
-        info.hits += 1
-        if (
-            info.pending
-            and info.hits >= 2
-            and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size
-        ):
-            info.pending = False
-            if info.size <= budget:
-                info.members = _class_members(key)
-                budget -= info.size
-        d = sample_delta(info.exp, delta_rng, forced=force_delta)
-        r = feed.read_int(d)
-        tau = encode_index(info.exp, d, r)
-        if info.members is not None:
-            out.extend(info.members[tau])
-        else:
-            out.extend(unrank_indices(key, tau, info.size))
-        trace.append(BlockTrace(info.size, d, r, tau, forced))
-    return EmbedResult(tuple(out), feed.genuine, feed.padding, tuple(trace))
+    (whole,) = _stn_embed(
+        _WHOLE_STREAM, cover, hidden, n, alphabet, delta_rng, padding_rng, force_delta
+    )
+    return whole
+
+
+def stn_embed_pieces(
+    cover: Iterable[str],
+    hidden: Iterable[int],
+    n: int,
+    alphabet: Alphabet,
+    delta_rng: random.Random,
+    padding_rng: random.Random,
+    force_delta: int | None = None,
+) -> Iterator[EmbedResult]:
+    """stn_embed over a stream, in pieces of at most _PIECE_SYMBOLS symbols.
+
+    A piece holds whole blocks, or one block when a block is longer.
+    """
+    return _stn_embed(
+        _PIECE_SYMBOLS, cover, hidden, n, alphabet, delta_rng, padding_rng, force_delta
+    )
 
 
 def stn_extract(stego: Iterable[str], n: int, alphabet: Alphabet) -> ExtractResult:
     """Invert stn_embed from the stego stream alone."""
-    if n < 2:
-        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    decoded: dict[tuple[str, ...], tuple[ExtractTrace, tuple[int, ...]]] = {}
-    bits: list[int] = []
-    trace: list[ExtractTrace] = []
-    stream = iter(stego)
-    while True:
-        chunk = tuple(islice(stream, n))
-        if len(chunk) < n:
-            _validate_tokens(chunk, index)  # trailing partial block yields nothing
-            break
-        known = decoded.get(chunk)
-        if known is None:
-            _validate_tokens(chunk, index)
-            key = sorted(chunk)
-            size = multinomial(Counter(key).values())
-            tau = rank_indices(chunk, key, size)
-            d, r = decode_index(expand(size), tau)
-            known = (ExtractTrace(d, r, tau), tuple(bits_from_int(r, d)))
-            if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
-                decoded[chunk] = known
-        rec, block_bits = known
-        bits.extend(block_bits)
-        trace.append(rec)
-    return ExtractResult(tuple(bits), tuple(trace))
+    (whole,) = _stn_extract(_WHOLE_STREAM, stego, n, alphabet)
+    return whole
+
+
+def stn_extract_pieces(stego: Iterable[str], n: int, alphabet: Alphabet) -> Iterator[ExtractResult]:
+    """stn_extract over a stream, in pieces of at most _PIECE_SYMBOLS symbols.
+
+    A piece holds whole blocks, or one block when a block is longer.
+    """
+    return _stn_extract(_PIECE_SYMBOLS, stego, n, alphabet)
 
 
 def frame_payload(payload: bytes) -> bytes:

@@ -1,9 +1,23 @@
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+import permsteg.cli
+import permsteg.codec
+from permsteg import (
+    Alphabet,
+    bits_to_bytes,
+    bytes_to_bits,
+    frame_payload,
+    st2_embed,
+    st2_extract,
+    stn_embed,
+    stn_extract,
+)
 from permsteg.cli import main
 
 
@@ -26,6 +40,24 @@ def write_tokens(path, text):
 
 def read_tokens(path):
     return "".join(line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+
+
+@pytest.fixture
+def small_pieces(monkeypatch):
+    """Stream in pieces of a few blocks, reading token files in small batches."""
+    monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 12)
+    monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 10)
+
+
+def embed_args(workdir, scheme, *extra):
+    return [
+        "embed", "--alphabet", str(workdir / "alphabet.txt"),
+        "--scheme", scheme, "--block-size", "3",
+        "--cover", str(workdir / "cover.txt"),
+        "--hidden", str(workdir / "hidden.bin"),
+        "--out", str(workdir / "stego.txt"),
+        *extra,
+    ]
 
 
 COMMAND_HELP = {
@@ -197,7 +229,9 @@ class TestEmbedExtract:
             r"error: framed payload of 48 bits does not fit the cover: bits_embedded \d+",
             lines[0],
         ), lines[0]
-        assert not (workdir / "stego.txt").exists()
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "ab_model.txt", "alphabet.txt", "cover.txt", "hidden.bin", "model.txt",
+        ]
         # Unframed, the same payload is embedded in part and the command succeeds.
         unframed = runner.invoke(main, args)
         assert unframed.exit_code == 0, unframed.output
@@ -232,6 +266,125 @@ class TestEmbedExtract:
         assert first.exit_code == second.exit_code == 0
         assert (workdir / "s1.txt").read_bytes() == (workdir / "s2.txt").read_bytes()
         assert first.output == second.output
+
+
+class TestStreaming:
+    """embed and extract stream their files piece by piece."""
+
+    @pytest.mark.parametrize("scheme", ["stn", "st2"])
+    @pytest.mark.parametrize("frame", [False, True])
+    def test_files_match_whole_stream_library(self, runner, workdir, small_pieces,
+                                              scheme, frame):
+        alphabet = Alphabet(["a", "b", "c"])
+        rng = random.Random(3)
+        cover = rng.choices("abc", k=3 * 80 + 2)  # a trailing partial block
+        payload = b"\x9c"
+        write_tokens(workdir / "cover.txt", "".join(cover))
+        (workdir / "hidden.bin").write_bytes(payload)
+        hidden = bytes_to_bits(frame_payload(payload) if frame else payload)
+        if scheme == "st2":
+            whole = st2_embed(cover, hidden, alphabet, random.Random(2))
+            bits = st2_extract(whole.stego, alphabet).bits
+        else:
+            whole = stn_embed(cover, hidden, 3, alphabet, random.Random(1), random.Random(2))
+            bits = stn_extract(whole.stego, 3, alphabet).bits
+        assert whole.padding_bits > 0
+        flag = ["--frame-length"] if frame else []
+        embed = runner.invoke(main, embed_args(workdir, scheme, *flag))
+        assert embed.exit_code == 0, embed.output
+        assert json.loads(embed.output)["cover_symbols"] == len(cover)
+        assert (workdir / "stego.txt").read_text(encoding="utf-8") == "".join(
+            token + "\n" for token in whole.stego
+        )
+        extract = runner.invoke(main, [
+            "extract", "--alphabet", str(workdir / "alphabet.txt"),
+            "--scheme", scheme, "--block-size", "3",
+            "--stego", str(workdir / "stego.txt"),
+            "--out", str(workdir / "recovered.bin"),
+            *flag,
+        ])
+        assert extract.exit_code == 0, extract.output
+        summary = json.loads(extract.output)
+        assert summary["stego_symbols"] == len(cover)
+        assert summary["bits_recovered"] == len(bits)
+        expected = payload if frame else bits_to_bytes(bits)
+        assert (workdir / "recovered.bin").read_bytes() == expected
+
+    @pytest.mark.parametrize("scheme", ["stn", "st2"])
+    def test_unknown_symbol_in_last_block_exit_3(self, runner, workdir, small_pieces, scheme):
+        write_tokens(workdir / "cover.txt", "abcbca" * 10 + "abz")
+        (workdir / "hidden.bin").write_bytes(b"\x5a")
+        before = sorted(p.name for p in workdir.iterdir())
+        result = runner.invoke(main, embed_args(workdir, scheme))
+        assert result.exit_code == 3, result.output
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_failed_embed_leaves_existing_out_untouched(self, runner, workdir, small_pieces):
+        write_tokens(workdir / "cover.txt", "abcbca" * 10 + "abz")
+        (workdir / "hidden.bin").write_bytes(b"\x5a")
+        (workdir / "stego.txt").write_bytes(b"earlier output\n")
+        before = sorted(p.name for p in workdir.iterdir())
+        result = runner.invoke(main, embed_args(workdir, "stn"))
+        assert result.exit_code == 3, result.output
+        assert (workdir / "stego.txt").read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_write_error_mid_stream_exit_2(self, runner, workdir, small_pieces, monkeypatch):
+        write_tokens(workdir / "cover.txt", "abcbca" * 10)
+        (workdir / "hidden.bin").write_bytes(b"\x5a")
+        (workdir / "stego.txt").write_bytes(b"earlier output\n")
+        before = sorted(p.name for p in workdir.iterdir())
+        write = permsteg.cli._write_tokens
+        calls = []
+
+        def failing_write(fh, tokens):
+            calls.append(len(tokens))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write(fh, tokens)
+
+        monkeypatch.setattr(permsteg.cli, "_write_tokens", failing_write)
+        result = runner.invoke(main, embed_args(workdir, "stn"))
+        assert result.exit_code == 2, result.output
+        assert "error: disk full" in result.output
+        assert (workdir / "stego.txt").read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_peak_memory_flat_in_cover_length(self, runner, workdir, monkeypatch):
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 400)
+        monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 4096)
+        tokens = "abcdefghijklmnopqrstuvwxyz"
+        (workdir / "alphabet.txt").write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        rng = random.Random(5)
+        cover = rng.choices(tokens, weights=[1 / i for i in range(1, 27)], k=4 * 20_000)
+        secret = rng.randbytes(400)
+        (workdir / "hidden.bin").write_bytes(secret)
+
+        def peak(symbols):
+            write_tokens(workdir / "cover.txt", "".join(cover[:symbols]))
+            tracemalloc.start()
+            try:
+                embed = runner.invoke(main, [
+                    "embed", "--alphabet", str(workdir / "alphabet.txt"), "-n", "10",
+                    "--cover", str(workdir / "cover.txt"),
+                    "--hidden", str(workdir / "hidden.bin"),
+                    "--out", str(workdir / "stego.txt"), "--frame-length",
+                ])
+                extract = runner.invoke(main, [
+                    "extract", "--alphabet", str(workdir / "alphabet.txt"), "-n", "10",
+                    "--stego", str(workdir / "stego.txt"),
+                    "--out", str(workdir / "recovered.bin"), "--frame-length",
+                ])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert embed.exit_code == 0, embed.output
+            assert extract.exit_code == 0, extract.output
+            assert (workdir / "recovered.bin").read_bytes() == secret
+            return top
+
+        peak(20_000)  # first use settles lazily built module state
+        assert peak(80_000) <= 1.25 * peak(20_000)
 
 
 class TestGenerate:

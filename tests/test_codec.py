@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permsteg.codec
 from permsteg import (
     Alphabet,
     InvalidAlphabet,
@@ -16,9 +17,13 @@ from permsteg import (
     draw_hidden_bits,
     frame_payload,
     st2_embed,
+    st2_embed_pieces,
     st2_extract,
+    st2_extract_pieces,
     stn_embed,
+    stn_embed_pieces,
     stn_extract,
+    stn_extract_pieces,
     symbol_alphabet,
     unframe_bits,
 )
@@ -254,6 +259,72 @@ class TestSchemeCoincidence:
             list("abbaabca"), [1, 0], 2, ABC, delta_rng, random.Random(4)
         )
         assert delta_rng.getstate() == state
+
+
+class TestPieces:
+    """Pieces joined equal the whole-stream result, whatever the piece size."""
+
+    @staticmethod
+    def _session(scheme, n, seed):
+        """(pieces of embed, pieces of extract, whole embed, whole extract) for one cover."""
+        alphabet = symbol_alphabet(8)
+        rng = random.Random(seed)
+        weights = [1 / i for i in range(1, 9)]
+        cover = rng.choices(alphabet.symbols, weights=weights, k=60 * n + n - 1)
+        hidden = [rng.getrandbits(1) for _ in range(20 * n)]
+        if scheme == "st2":
+            return (
+                lambda: st2_embed_pieces(cover, hidden, alphabet, random.Random(7)),
+                lambda stego: st2_extract_pieces(stego, alphabet),
+                lambda: st2_embed(cover, hidden, alphabet, random.Random(7)),
+                lambda stego: st2_extract(stego, alphabet),
+            )
+        return (
+            lambda: stn_embed_pieces(cover, hidden, n, alphabet, *rngs(5, 7)),
+            lambda stego: stn_extract_pieces(stego, n, alphabet),
+            lambda: stn_embed(cover, hidden, n, alphabet, *rngs(5, 7)),
+            lambda stego: stn_extract(stego, n, alphabet),
+        )
+
+    @pytest.mark.parametrize(
+        "scheme, n, piece_symbols",
+        [("stn", 4, 12), ("stn", 4, 15), ("stn", 16, 8), ("st2", 2, 6), ("st2", 2, 7)],
+    )
+    def test_pieces_join_to_whole_stream(self, monkeypatch, scheme, n, piece_symbols):
+        embed_pieces, extract_pieces, embed, extract = self._session(scheme, n, piece_symbols)
+        (whole,) = embed_pieces()  # the default piece holds the whole cover
+        (whole_bits,) = extract_pieces(whole.stego)
+        assert whole.padding_bits > 0
+        assert len(whole.stego) % n
+
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", piece_symbols)
+        size = max(n, piece_symbols - piece_symbols % n)
+        pieces = list(embed_pieces())
+        assert len(pieces) > 10
+        assert all(len(piece.stego) == size for piece in pieces[:-1])
+        assert 0 < len(pieces[-1].stego) < size
+        assert sum((piece.stego for piece in pieces), ()) == whole.stego
+        assert sum((piece.trace for piece in pieces), ()) == whole.trace
+        assert sum(piece.bits_embedded for piece in pieces) == whole.bits_embedded
+        assert sum(piece.padding_bits for piece in pieces) == whole.padding_bits
+        parts = list(extract_pieces(whole.stego))
+        assert len(parts) == len(pieces)
+        assert sum((part.bits for part in parts), ()) == whole_bits.bits
+        assert sum((part.trace for part in parts), ()) == whole_bits.trace
+        assert embed() == whole
+        assert extract(whole.stego) == whole_bits
+
+    @pytest.mark.parametrize("scheme", ["stn", "st2"])
+    def test_unknown_symbol_in_a_late_piece(self, monkeypatch, scheme):
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 8)
+        cover = list("abcabcabcabcabcabcabcabcabcabcab") + ["z"]
+        if scheme == "st2":
+            pieces = st2_embed_pieces(cover, [1, 0] * 20, ABC, random.Random(1))
+        else:
+            pieces = stn_embed_pieces(cover, [1, 0] * 20, 4, ABC, *rngs(1, 2))
+        assert len(next(pieces).stego) == 8
+        with pytest.raises(UnknownSymbol):
+            list(pieces)
 
 
 class TestFraming:
