@@ -363,16 +363,15 @@ def empirical_rate(
     describes sampling noise of the achievable rate (meaningful when the
     hidden stream was not exhausted, i.e. padding_bits is 0).
     """
-    if not result.trace:
+    deltas = [delta for _, delta, _, _ in result.records]
+    if not deltas:
         raise EmptyTrace("embed run processed no full blocks")
     if bound is None:
         bound = rate_lower_bound(model, n)
-    blocks = len(result.trace)
+    blocks = len(deltas)
     rate = result.bits_embedded / cover_symbols
-    mean_bits = sum(rec.delta for rec in result.trace) / blocks
-    variance = sum((rec.delta - mean_bits) ** 2 for rec in result.trace) / max(
-        blocks - 1, 1
-    )
+    mean_bits = sum(deltas) / blocks
+    variance = sum((delta - mean_bits) ** 2 for delta in deltas) / max(blocks - 1, 1)
     std_error = math.sqrt(variance / blocks) / n
     return RateReport(
         scheme=scheme,

@@ -25,6 +25,17 @@ drawn from a dedicated padding generator and counted separately, which
 keeps the emitted distribution intact. Extraction cannot tell padding from
 payload; it returns every bit the embedder consumed, in order.
 
+Payload bits are pulled from the caller's iterable in windows of 64 (or as
+many as one block needs, when that is more). A bit other than 0 or 1 (bools
+count as 0 and 1) raises ValueError when its window is pulled, which can be
+up to 63 bits before the block that would read it, and up to 63 bits past
+the last one read may have been taken from the caller's iterator.
+
+Results keep one plain tuple of ints per block (``records``) rather than one
+record object per block; the pair scheme and extract's decode map reuse one
+tuple for every block with the same record. ``trace`` builds the
+``BlockTrace``/``ExtractTrace`` records from them when it is read.
+
 Each direction of each scheme is one generator that keeps one state for the
 whole stream (bit feed, random generators, class table, decode map) and
 yields an ``EmbedResult`` or ``ExtractResult`` per piece of whole blocks;
@@ -43,7 +54,8 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -78,7 +90,9 @@ class BlockTrace(NamedTuple):
     ``delta`` the number of payload bits the block carried, ``payload``
     their MSB-first integer value, and ``index`` the emitted word's rank
     within its permutation class. ``forced`` marks a test-hook override of
-    the payload-length draw.
+    the payload-length draw. The codec keeps the first four fields as a
+    plain tuple and builds these records only when ``EmbedResult.trace`` is
+    read.
     """
 
     class_size: int
@@ -99,65 +113,126 @@ class ExtractTrace(NamedTuple):
 # A pair carries no bit (equal letters, class size 1) or one bit b, which is
 # also its index in a class of 2; so each side of the pair scheme has three
 # possible records, indexed here by 0 (no bit) and 1 + b.
-_PAIR_EMBED_TRACE = (BlockTrace(1, 0, 0, 0), BlockTrace(2, 1, 0, 0), BlockTrace(2, 1, 1, 1))
-_PAIR_EXTRACT_TRACE = (ExtractTrace(0, 0, 0), ExtractTrace(1, 0, 0), ExtractTrace(1, 1, 1))
+_PAIR_EMBED_RECORD = ((1, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 1))
+_PAIR_EXTRACT_RECORD = ((0, 0, 0), (1, 0, 0), (1, 1, 1))
 
 
 @dataclass(frozen=True)
 class EmbedResult:
+    """One embed call or piece: stego symbols, bit counts and per-block records.
+
+    ``records`` holds one ``(class_size, delta, payload, index)`` tuple per
+    full block; ``forced`` says whether the call pinned the payload length.
+    ``trace``, ``blocks`` and ``consumed_bits()`` are derived from them on
+    request.
+    """
+
     stego: tuple[str, ...]
     bits_embedded: int
     padding_bits: int
-    trace: tuple[BlockTrace, ...]
+    records: tuple[tuple[int, int, int, int], ...]
+    forced: bool = False
+
+    @property
+    def trace(self) -> tuple[BlockTrace, ...]:
+        # each record with the call's forced flag appended, made a BlockTrace
+        return tuple(map(BlockTrace._make, map(add, self.records, repeat((self.forced,)))))
+
+    @property
+    def blocks(self) -> int:
+        return len(self.records)
 
     def consumed_bits(self) -> list[int]:
         """Every payload bit the embedder consumed (genuine first, then padding)."""
         out: list[int] = []
-        for rec in self.trace:
-            out.extend(bits_from_int(rec.payload, rec.delta))
+        for _, delta, payload, _ in self.records:
+            out.extend(bits_from_int(payload, delta))
         return out
-
-    @property
-    def blocks(self) -> int:
-        return len(self.trace)
 
 
 @dataclass(frozen=True)
 class ExtractResult:
+    """One extract call or piece: the bits read and per-block records.
+
+    ``records`` holds one ``(delta, payload, index)`` tuple per full block;
+    ``trace`` builds ``ExtractTrace`` records from them on request.
+    """
+
     bits: tuple[int, ...]
-    trace: tuple[ExtractTrace, ...]
+    records: tuple[tuple[int, int, int], ...]
+
+    @property
+    def trace(self) -> tuple[ExtractTrace, ...]:
+        return tuple(map(ExtractTrace._make, self.records))
+
+
+# The bit feed pulls payload bits in windows of this many (more when one read
+# needs more), turns a window into one int in C, and serves each read from it
+# with a shift and a mask.
+_WINDOW_BITS = 64
+# bytes.translate table: bit values 0 and 1 become the digits of a base-2
+# int() literal, and every other byte a character that int() rejects.
+_BIT_DIGITS = b"01" + b"." * 254
 
 
 class _BitFeed:
-    """Payload bits: the caller's stream first, then seeded padding bits."""
+    """Payload bits: the caller's stream first, then seeded padding bits.
 
-    __slots__ = ("_iter", "_rng", "genuine", "padding")
+    A window of bits is pulled from the caller's iterator before any of them
+    is read, so a bad bit raises when its window is pulled, and up to
+    ``_WINDOW_BITS - 1`` pulled bits may be left unread when a stream ends.
+    """
+
+    __slots__ = ("_iter", "_rng", "_window", "_avail", "_pulled", "padding")
 
     def __init__(self, bits: Iterable[int], padding_rng: random.Random):
-        self._iter = iter(bits)
+        self._iter: Iterator[int] | None = iter(bits)  # None once it ran out
         self._rng = padding_rng
-        self.genuine = 0
+        self._window = 0  # its low ``_avail`` bits are the unread ones
+        self._avail = 0
+        self._pulled = 0
         self.padding = 0
+
+    @property
+    def genuine(self) -> int:
+        """Bits read from the caller's stream so far."""
+        return self._pulled - self._avail
 
     def read_int(self, count: int) -> int:
         """Next ``count`` bits as an MSB-first integer."""
-        if count <= 0:
-            return 0
-        value = 0
-        taken = 0
-        for bit in self._iter:
-            if bit not in (0, 1):
-                raise ValueError(f"payload bit must be 0 or 1, got {bit!r}")
-            value = (value << 1) | bit
-            taken += 1
-            if taken == count:
-                self.genuine += taken
-                return value
-        self.genuine += taken
-        pad = count - taken
-        value = (value << pad) | self._rng.getrandbits(pad)
-        self.padding += pad
-        return value
+        avail = self._avail - count
+        if avail >= 0:
+            self._avail = avail
+            return (self._window >> avail) & ((1 << count) - 1)
+        return self._read_past_window(count)
+
+    def _read_past_window(self, count: int) -> int:
+        """The window's unread bits, then a fresh window's, then padding."""
+        need = count - self._avail
+        value = self._window & ((1 << self._avail) - 1)
+        self._avail = 0
+        if self._iter is not None:
+            want = max(need, _WINDOW_BITS)
+            try:
+                window = bytes(islice(self._iter, want))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"payload bits must be 0 or 1: {exc}") from None
+            if window:
+                try:
+                    fresh = int(window.translate(_BIT_DIGITS), 2)
+                except ValueError:
+                    bad = next(bit for bit in window if bit > 1)
+                    raise ValueError(f"payload bit must be 0 or 1, got {bad!r}") from None
+                self._pulled += len(window)
+                if len(window) >= need:
+                    self._window = fresh
+                    self._avail = len(window) - need
+                    return (value << need) | (fresh >> self._avail)
+                value = (value << len(window)) | fresh
+                need -= len(window)
+            self._iter = None
+        self.padding += need
+        return (value << need) | self._rng.getrandbits(need)
 
 
 class _ClassInfo:
@@ -222,6 +297,7 @@ def _st2_embed(
     index = _symbol_indexer(alphabet)
     symbols = alphabet.symbols
     feed = _BitFeed(hidden, padding_rng)
+    read_int = feed.read_int
     piece_symbols = 2 * max(1, piece_symbols // 2)
     stream = iter(cover)
     done = False
@@ -230,7 +306,7 @@ def _st2_embed(
         done = len(chunk) < piece_symbols
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
-        trace: list[BlockTrace] = []
+        records: list[tuple[int, int, int, int]] = []
         pairs = iter(chunk)
         for x, y in zip(pairs, pairs):
             try:
@@ -240,18 +316,18 @@ def _st2_embed(
             if a == i:
                 out.append(symbols[a])
                 out.append(symbols[a])
-                trace.append(_PAIR_EMBED_TRACE[0])
+                records.append(_PAIR_EMBED_RECORD[0])
             else:
-                bit = feed.read_int(1)
+                bit = read_int(1)
                 lo, hi = (a, i) if a < i else (i, a)
                 first, second = (lo, hi) if bit == 0 else (hi, lo)
                 out.append(symbols[first])
                 out.append(symbols[second])
-                trace.append(_PAIR_EMBED_TRACE[1 + bit])
+                records.append(_PAIR_EMBED_RECORD[1 + bit])
         if len(chunk) % 2:
             _validate_tokens(chunk[-1:], index)
             out.append(chunk[-1])  # trailing unpaired symbol, untouched
-        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(trace))
+        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records))
 
 
 def _st2_extract(
@@ -266,7 +342,7 @@ def _st2_extract(
         chunk = list(islice(stream, piece_symbols))
         done = len(chunk) < piece_symbols
         bits: list[int] = []
-        trace: list[ExtractTrace] = []
+        records: list[tuple[int, int, int]] = []
         pairs = iter(chunk)
         for x, y in zip(pairs, pairs):
             try:
@@ -274,14 +350,14 @@ def _st2_extract(
             except KeyError as exc:
                 raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
             if a == i:
-                trace.append(_PAIR_EXTRACT_TRACE[0])
+                records.append(_PAIR_EXTRACT_RECORD[0])
             else:
                 bit = 0 if a < i else 1
                 bits.append(bit)
-                trace.append(_PAIR_EXTRACT_TRACE[1 + bit])
+                records.append(_PAIR_EXTRACT_RECORD[1 + bit])
         if len(chunk) % 2:
             _validate_tokens(chunk[-1:], index)  # trailing unpaired symbol yields nothing
-        yield ExtractResult(tuple(bits), tuple(trace))
+        yield ExtractResult(tuple(bits), tuple(records))
 
 
 def _stn_embed(
@@ -299,6 +375,7 @@ def _stn_embed(
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
     feed = _BitFeed(hidden, padding_rng)
+    read_int = feed.read_int
     # Only classes that may still get a member table are remembered.
     classes: dict[tuple[str, ...], _ClassInfo] = {}
     budget = _MEMBER_TABLE_BUDGET
@@ -309,7 +386,7 @@ def _stn_embed(
     while not done:
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
-        trace: list[BlockTrace] = []
+        records: list[tuple[int, int, int, int]] = []
         for _ in range(piece_blocks):
             chunk = list(islice(stream, n))
             if len(chunk) < n:
@@ -324,25 +401,26 @@ def _stn_embed(
                 info = _ClassInfo(multinomial(Counter(key).values()))
                 if info.pending and len(classes) < _MEMBER_TABLE_BUDGET:
                     classes[key] = info
-            info.hits += 1
-            if (
-                info.pending
-                and info.hits >= 2
-                and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size
-            ):
-                info.pending = False
-                if info.size <= budget:
-                    info.members = _class_members(key)
-                    budget -= info.size
-            d = sample_delta(info.exp, delta_rng, forced=force_delta)
-            r = feed.read_int(d)
-            tau = encode_index(info.exp, d, r)
-            if info.members is not None:
-                out.extend(info.members[tau])
+            if info.pending:
+                info.hits += 1
+                if info.hits >= 2 and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size:
+                    info.pending = False
+                    if info.size <= budget:
+                        info.members = _class_members(key)
+                        budget -= info.size
+            exp = info.exp
+            d = sample_delta(exp, delta_rng, force_delta)
+            r = read_int(d)
+            tau = encode_index(exp, d, r)
+            members = info.members
+            if members is not None:
+                out.extend(members[tau])
             else:
                 out.extend(unrank_indices(key, tau, info.size))
-            trace.append(BlockTrace(info.size, d, r, tau, forced))
-        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(trace))
+            records.append((info.size, d, r, tau))
+        yield EmbedResult(
+            tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records), forced
+        )
 
 
 def _stn_extract(
@@ -352,13 +430,13 @@ def _stn_extract(
         raise InvalidBlockLength(f"block length must be >= 2, got {n}")
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
-    decoded: dict[tuple[str, ...], tuple[ExtractTrace, list[int]]] = {}
+    decoded: dict[tuple[str, ...], tuple[tuple[int, int, int], list[int]]] = {}
     piece_blocks = max(1, piece_symbols // n)
     stream = iter(stego)
     done = False
     while not done:
         bits: list[int] = []
-        trace: list[ExtractTrace] = []
+        records: list[tuple[int, int, int]] = []
         for _ in range(piece_blocks):
             chunk = tuple(islice(stream, n))
             if len(chunk) < n:
@@ -375,13 +453,13 @@ def _stn_extract(
                 # A list, not a tuple: CPython keeps freed tuples of up to
                 # 20 items on per-length free lists, which one-off blocks of
                 # varying payload length fill until the next full collection.
-                known = (ExtractTrace(d, r, tau), bits_from_int(r, d))
+                known = ((d, r, tau), bits_from_int(r, d))
                 if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
                     decoded[chunk] = known
             rec, block_bits = known
             bits.extend(block_bits)
-            trace.append(rec)
-        yield ExtractResult(tuple(bits), tuple(trace))
+            records.append(rec)
+        yield ExtractResult(tuple(bits), tuple(records))
 
 
 def st2_embed(

@@ -61,10 +61,6 @@ def expand(value: int) -> BinaryExpansion:
     return BinaryExpansion(value)
 
 
-def _is_band(value: int, d: int) -> bool:
-    return 0 <= d < value.bit_length() and (value >> d) & 1 == 1
-
-
 def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = None) -> int:
     """Draw a payload length with band probabilities 2**i / N.
 
@@ -74,19 +70,25 @@ def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = 
     """
     value = exp.value
     if forced is not None:
-        if not _is_band(value, forced):
+        if not (0 <= forced < value.bit_length() and value >> forced & 1):
             raise InvalidDelta(f"forced payload length {forced} is not a set bit of {value}")
         return forced
+    width = value.bit_length()
     if value & (value - 1) == 0:
-        return value.bit_length() - 1
-    # randrange is exactly uniform on [0, N); the band holding it is d.
-    return (value ^ rng.randrange(value)).bit_length() - 1
+        return width - 1
+    # A uniform u on [0, N) by rejection from width-bit draws: the loop of
+    # rng.randrange(N), so it consumes the generator exactly as that call
+    # would, without its argument handling. The band holding u is d.
+    u = rng.getrandbits(width)
+    while u >= value:
+        u = rng.getrandbits(width)
+    return (value ^ u).bit_length() - 1
 
 
 def encode_index(exp: BinaryExpansion, d: int, r: int) -> int:
     """Class index for payload value ``r`` carried in a band of width 2**d."""
     value = exp.value
-    if not _is_band(value, d):
+    if not (0 <= d < value.bit_length() and value >> d & 1):
         raise InvalidDelta(f"payload length {d} is not a set bit of {value}")
     if not (0 <= r < (1 << d)):
         raise PayloadOutOfRange(f"payload value {r} does not fit in {d} bits")

@@ -1,5 +1,6 @@
+import dataclasses
 import random
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 import permsteg.codec
 from permsteg import (
     Alphabet,
+    BlockTrace,
+    ExtractTrace,
     InvalidAlphabet,
     InvalidBlockLength,
     InvalidDelta,
@@ -27,6 +30,8 @@ from permsteg import (
     symbol_alphabet,
     unframe_bits,
 )
+
+from oracles import brute_class_size, brute_decode, brute_rank
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -325,6 +330,162 @@ class TestPieces:
         assert len(next(pieces).stego) == 8
         with pytest.raises(UnknownSymbol):
             list(pieces)
+
+
+class _PerBitFeed:
+    """The payload feed read one bit at a time: the reference for the window."""
+
+    def __init__(self, bits, padding_rng):
+        self._iter = iter(bits)
+        self._rng = padding_rng
+        self.genuine = 0
+        self.padding = 0
+
+    def read_int(self, count):
+        value = 0
+        for taken in range(count):
+            bit = next(self._iter, None)
+            if bit is None:
+                pad = count - taken
+                self.padding += pad
+                return (value << pad) | self._rng.getrandbits(pad)
+            value = (value << 1) | bit
+            self.genuine += 1
+        return value
+
+
+class TestBitWindow:
+    """Payload bits enter the codec through a window of 64 bits."""
+
+    @staticmethod
+    def _cover(k, n, blocks, seed=3):
+        alphabet = symbol_alphabet(k)
+        rng = random.Random(seed)
+        return [rng.choice(alphabet.symbols) for _ in range(n * blocks)], alphabet
+
+    @pytest.mark.parametrize("bad", [2, -1, "1", 1.5])
+    @pytest.mark.parametrize("position", [0, 5, 100])
+    def test_bad_bit_raises(self, bad, position):
+        cover, alphabet = self._cover(8, 4, 200)
+        hidden = draw_hidden_bits(position, random.Random(position)) + [bad, 0]
+        with pytest.raises(ValueError):
+            stn_embed(cover, hidden, 4, alphabet, *rngs(1, 2))
+        with pytest.raises(ValueError):
+            st2_embed(cover, hidden, alphabet, random.Random(2))
+
+    def test_bools_accepted(self):
+        cover, alphabet = self._cover(8, 4, 100)
+        hidden = draw_hidden_bits(150, random.Random(9))
+        as_bools = [bool(bit) for bit in hidden]
+        assert stn_embed(cover, as_bools, 4, alphabet, *rngs(1, 2)) == stn_embed(
+            cover, hidden, 4, alphabet, *rngs(1, 2)
+        )
+        assert st2_embed(cover, as_bools, alphabet, random.Random(2)) == st2_embed(
+            cover, hidden, alphabet, random.Random(2)
+        )
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 130])
+    @pytest.mark.parametrize("k, n", [(8, 4), (16, 16), (64, 64)])
+    def test_payload_running_out_matches_per_bit_feed(self, monkeypatch, length, k, n):
+        cover, alphabet = self._cover(k, n, 100, seed=length * k + 6)
+        hidden = draw_hidden_bits(length, random.Random(length))
+        window = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
+        # the payload runs out inside a block, which then takes padding too
+        ends = list(accumulate(rec.delta for rec in window.trace))
+        assert any(start < length < end for start, end in zip([0] + ends, ends))
+        monkeypatch.setattr(permsteg.codec, "_BitFeed", _PerBitFeed)
+        per_bit = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
+        assert window.bits_embedded == per_bit.bits_embedded == length
+        assert window.padding_bits == per_bit.padding_bits > 0
+        assert window.stego == per_bit.stego
+
+    @pytest.mark.parametrize("k, n", [(8, 4), (64, 64)])
+    def test_unread_window_bits_not_counted(self, monkeypatch, k, n):
+        cover, alphabet = self._cover(k, n, 50)
+        hidden = draw_hidden_bits(50 * n * 8, random.Random(k))
+        pulled = []
+
+        def counted():
+            for bit in hidden:
+                pulled.append(bit)
+                yield bit
+
+        window = stn_embed(cover, counted(), n, alphabet, *rngs(1, 2))
+        assert window.padding_bits == 0
+        assert window.bits_embedded == sum(rec.delta for rec in window.trace)
+        assert 0 <= len(pulled) - window.bits_embedded < 64
+        monkeypatch.setattr(permsteg.codec, "_BitFeed", _PerBitFeed)
+        per_bit = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
+        assert (window.stego, window.bits_embedded) == (per_bit.stego, per_bit.bits_embedded)
+
+
+def _reference_traces(stego, n, forced=False):
+    """Embed and extract records built block by block with the brute-force oracles."""
+    embed, extract = [], []
+    for start in range(0, len(stego) - n + 1, n):
+        block = stego[start : start + n]
+        size, tau = brute_class_size(block), brute_rank(block)
+        d, r = brute_decode(size, tau)
+        embed.append(BlockTrace(size, d, r, tau, forced))
+        extract.append(ExtractTrace(d, r, tau))
+    return tuple(embed), tuple(extract)
+
+
+class TestTraceOnRequest:
+    """trace, blocks and consumed_bits() are built from compact records."""
+
+    @staticmethod
+    def _check(result, extracted, n, forced=False):
+        embed_ref, extract_ref = _reference_traces(result.stego, n, forced)
+        assert result.trace == embed_ref
+        assert [str(rec) for rec in result.trace] == [str(rec) for rec in embed_ref]
+        assert result.blocks == len(embed_ref)
+        bits = [(rec.payload >> i) & 1 for rec in embed_ref for i in reversed(range(rec.delta))]
+        assert result.consumed_bits() == bits
+        assert extracted.trace == extract_ref
+        assert list(extracted.bits) == bits
+
+    @pytest.mark.parametrize("scheme, n", [("stn", 4), ("stn", 5), ("st2", 2)])
+    def test_whole_stream_and_joined_pieces(self, monkeypatch, scheme, n):
+        rng = random.Random(n)
+        cover = [rng.choice(ABC.symbols) for _ in range(30 * n + 1)]
+        hidden = [rng.getrandbits(1) for _ in range(5 * n)]
+        if scheme == "st2":
+            embed = lambda: st2_embed_pieces(cover, hidden, ABC, random.Random(7))
+            extract = lambda stego: st2_extract_pieces(stego, ABC)
+        else:
+            embed = lambda: stn_embed_pieces(cover, hidden, n, ABC, *rngs(5, 7))
+            extract = lambda stego: stn_extract_pieces(stego, n, ABC)
+        (whole,) = embed()
+        (whole_bits,) = extract(whole.stego)
+        assert whole.padding_bits > 0
+        self._check(whole, whole_bits, n)
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 3 * n)
+        pieces = list(embed())
+        parts = list(extract(whole.stego))
+        assert len(pieces) == len(parts) > 10
+        for piece, part in zip(pieces, parts):
+            self._check(piece, part, n)
+        assert sum(piece.blocks for piece in pieces) == whole.blocks
+        assert sum((piece.consumed_bits() for piece in pieces), []) == whole.consumed_bits()
+
+    def test_forced_flag_on_every_record(self):
+        result = stn_embed(list("bacabc"), [1, 0], 3, ABC, *rngs(1, 2), force_delta=1)
+        self._check(result, stn_extract(result.stego, 3, ABC), 3, forced=True)
+        assert all(rec.forced for rec in result.trace)
+
+    def test_replace_and_equality(self):
+        cover = list("abcabcacbbcacbaacb")
+        runs = [stn_embed(cover, [1, 0, 1, 1], 3, ABC, *rngs(5, 6)) for _ in range(2)]
+        assert runs[0] == runs[1]
+        swapped = dataclasses.replace(runs[0], stego=tuple(reversed(runs[0].stego)))
+        assert swapped.stego == tuple(reversed(runs[0].stego))
+        assert swapped.trace == runs[0].trace
+        assert swapped != runs[0]
+        extracted = [stn_extract(runs[0].stego, 3, ABC) for _ in range(2)]
+        assert extracted[0] == extracted[1]
+        flipped = dataclasses.replace(extracted[0], bits=(1,) + extracted[0].bits[1:])
+        assert flipped.trace == extracted[0].trace
 
 
 class TestFraming:

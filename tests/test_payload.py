@@ -62,13 +62,17 @@ class TestExpand:
 
 
 class _Counter:
-    """Stands in for a generator: randrange(N) returns 0, 1, 2, ... in turn."""
+    """Stands in for a generator: getrandbits(k) returns 0, 1, 2, ... in turn.
+
+    sample_delta draws u uniform on [0, N) from getrandbits(N.bit_length()),
+    rejecting u >= N; the tests below make N draws, so none is rejected.
+    """
 
     def __init__(self):
         self.draws = 0
 
-    def randrange(self, stop):
-        assert self.draws < stop
+    def getrandbits(self, width):
+        assert self.draws < 1 << width
         self.draws += 1
         return self.draws - 1
 
@@ -149,6 +153,20 @@ class TestSampleDelta:
             sample_delta(exp, rng, forced=0)  # alpha_0 = 0 for 6
         with pytest.raises(InvalidDelta):
             sample_delta(exp, rng, forced=5)
+
+    def test_same_stream_as_randrange(self):
+        # The draw must consume a seeded generator exactly as randrange(N)
+        # does, or every stego output for a fixed seed changes.
+        sizes = list(range(1, 4097)) + [3**k for k in range(2, 379)]  # 3**378 ~ 2**599
+        for seed in range(20):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for value in sizes:
+                if value & (value - 1):
+                    expected = (value ^ reference.randrange(value)).bit_length() - 1
+                else:
+                    expected = value.bit_length() - 1  # a single band: no draw
+                assert sample_delta(expand(value), rng) == expected, (seed, value)
+            assert rng.getstate() == reference.getstate(), seed
 
 
 class TestBandCode:
