@@ -31,6 +31,12 @@ count as 0 and 1) raises ValueError when its window is pulled, which can be
 up to 63 bits before the block that would read it, and up to 63 bits past
 the last one read may have been taken from the caller's iterator.
 
+The block scheme takes each piece (see below) as one list, checks all its
+tokens at once (an unknown one raises UnknownSymbol naming the first in
+stream order, and its piece is not yielded) and splits it into blocks with
+``zip``. Extract appends each block's payload value to a window int and
+turns each window of 64 or more bits into bit values in C.
+
 Results keep one plain tuple of ints per block (``records``) rather than one
 record object per block; the pair scheme and extract's decode map reuse one
 tuple for every block with the same record. ``trace`` builds the
@@ -59,7 +65,7 @@ from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
-from .bits import bits_from_int, bits_to_bytes, int_from_bits
+from .bits import BIT_DIGITS, DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import BinaryExpansion, decode_index, encode_index, expand, sample_delta
 from .ranking import multinomial, rank_indices, unrank_indices
@@ -168,11 +174,8 @@ class ExtractResult:
 
 # The bit feed pulls payload bits in windows of this many (more when one read
 # needs more), turns a window into one int in C, and serves each read from it
-# with a shift and a mask.
+# with a shift and a mask. Extract packs its bits in windows of the same size.
 _WINDOW_BITS = 64
-# bytes.translate table: bit values 0 and 1 become the digits of a base-2
-# int() literal, and every other byte a character that int() rejects.
-_BIT_DIGITS = b"01" + b"." * 254
 
 
 class _BitFeed:
@@ -219,7 +222,7 @@ class _BitFeed:
                 raise ValueError(f"payload bits must be 0 or 1: {exc}") from None
             if window:
                 try:
-                    fresh = int(window.translate(_BIT_DIGITS), 2)
+                    fresh = int(window.translate(BIT_DIGITS), 2)
                 except ValueError:
                     bad = next(bit for bit in window if bit > 1)
                     raise ValueError(f"payload bit must be 0 or 1, got {bad!r}") from None
@@ -276,9 +279,10 @@ def _symbol_indexer(alphabet: Alphabet) -> dict[str, int]:
 
 
 def _validate_tokens(tokens: Sequence[str], index: dict[str, int]) -> None:
-    for token in tokens:
-        if token not in index:
-            raise UnknownSymbol(f"symbol {token!r} is not in the alphabet")
+    """Raise UnknownSymbol naming the first of ``tokens`` not in the alphabet."""
+    if not index.keys() >= set(tokens):
+        token = next(token for token in tokens if token not in index)
+        raise UnknownSymbol(f"symbol {token!r} is not in the alphabet")
 
 
 def _require_codec_alphabet(alphabet: Alphabet) -> None:
@@ -380,24 +384,20 @@ def _stn_embed(
     classes: dict[tuple[str, ...], _ClassInfo] = {}
     budget = _MEMBER_TABLE_BUDGET
     forced = force_delta is not None
-    piece_blocks = max(1, piece_symbols // n)
+    piece_size = n * max(1, piece_symbols // n)
     stream = iter(cover)
     done = False
     while not done:
+        piece = list(islice(stream, piece_size))
+        done = len(piece) < piece_size
+        _validate_tokens(piece, index)
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
         records: list[tuple[int, int, int, int]] = []
-        for _ in range(piece_blocks):
-            chunk = list(islice(stream, n))
-            if len(chunk) < n:
-                _validate_tokens(chunk, index)
-                out.extend(chunk)  # trailing partial block, untouched
-                done = True
-                break
+        for chunk in zip(*[iter(piece)] * n):
             key = tuple(sorted(chunk))
             info = classes.get(key)
             if info is None:
-                _validate_tokens(key, index)
                 info = _ClassInfo(multinomial(Counter(key).values()))
                 if info.pending and len(classes) < _MEMBER_TABLE_BUDGET:
                     classes[key] = info
@@ -418,6 +418,7 @@ def _stn_embed(
             else:
                 out.extend(unrank_indices(key, tau, info.size))
             records.append((info.size, d, r, tau))
+        out.extend(piece[len(piece) - len(piece) % n :])  # trailing partial block, untouched
         yield EmbedResult(
             tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records), forced
         )
@@ -430,35 +431,33 @@ def _stn_extract(
         raise InvalidBlockLength(f"block length must be >= 2, got {n}")
     _require_codec_alphabet(alphabet)
     index = _symbol_indexer(alphabet)
-    decoded: dict[tuple[str, ...], tuple[tuple[int, int, int], list[int]]] = {}
-    piece_blocks = max(1, piece_symbols // n)
+    decoded: dict[tuple[str, ...], tuple[int, int, int]] = {}
+    piece_size = n * max(1, piece_symbols // n)
     stream = iter(stego)
     done = False
     while not done:
-        bits: list[int] = []
+        piece = list(islice(stream, piece_size))
+        done = len(piece) < piece_size
+        _validate_tokens(piece, index)  # a trailing partial block yields nothing
+        bits = bytearray()
         records: list[tuple[int, int, int]] = []
-        for _ in range(piece_blocks):
-            chunk = tuple(islice(stream, n))
-            if len(chunk) < n:
-                _validate_tokens(chunk, index)  # trailing partial block yields nothing
-                done = True
-                break
-            known = decoded.get(chunk)
-            if known is None:
-                _validate_tokens(chunk, index)
-                key = sorted(chunk)
-                size = multinomial(Counter(key).values())
-                tau = rank_indices(chunk, key, size)
+        window = 1  # a leading 1, then the block values not yet in ``bits``
+        for block in zip(*[iter(piece)] * n):
+            rec = decoded.get(block)
+            if rec is None:
+                tau, size = rank_indices(block)
                 d, r = decode_index(expand(size), tau)
-                # A list, not a tuple: CPython keeps freed tuples of up to
-                # 20 items on per-length free lists, which one-off blocks of
-                # varying payload length fill until the next full collection.
-                known = ((d, r, tau), bits_from_int(r, d))
+                rec = (d, r, tau)
                 if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
-                    decoded[chunk] = known
-            rec, block_bits = known
-            bits.extend(block_bits)
+                    decoded[block] = rec
+            else:
+                d, r, _ = rec
             records.append(rec)
+            window = (window << d) | r
+            if window >> _WINDOW_BITS:
+                bits += bin(window)[3:].encode().translate(DIGIT_BITS)
+                window = 1
+        bits += bin(window)[3:].encode().translate(DIGIT_BITS)
         yield ExtractResult(tuple(bits), tuple(records))
 
 

@@ -7,16 +7,20 @@ undetectable. The class is ordered lexicographically (canonical symbol
 order) and its members are addressed by rank, from 0 to the class size
 minus one.
 
-The class size is the multinomial coefficient n! / prod(count_a!). Both
-walks keep the letters not yet placed as a sorted list. At a position with
-``left`` letters remaining and ``size`` arrangements of them, the words
-starting with any of the ``below`` smaller letters number exactly
-``size * below // left``; ``below`` is a bisection in that list. So each
-position costs O(1) big-integer operations, O(log n) bisections and one
-list deletion. The items only need to be in canonical order: alphabet
-indices and tokens both work, since canonical token order is plain string
-order. Everything here is exact arbitrary-precision arithmetic; class sizes
-overflow 64 bits for quite small blocks already.
+The class size is the multinomial coefficient n! / prod(count_a!). At a
+position with ``left`` letters remaining and ``size`` arrangements of them,
+the words starting with any of the ``below`` smaller letters number exactly
+``size * below // left``; ``below`` is a bisection in a sorted list of those
+letters. Unranking walks forward from the class size and deletes each
+placed letter from the list. Ranking walks backward from the last letter:
+it inserts each letter into the list and multiplies the suffix's class size
+by ``left`` over the letter's count in the suffix, so it needs no sorted key
+and yields the class size with the rank. Either way each position costs
+O(1) big-integer operations, O(log n) bisections and one list edit. The
+items only need to be in canonical order: alphabet indices and tokens both
+work, since canonical token order is plain string order. Everything here is
+exact arbitrary-precision arithmetic; class sizes overflow 64 bits for
+quite small blocks already.
 """
 
 from __future__ import annotations
@@ -51,26 +55,20 @@ def multinomial(counts) -> int:
     return result
 
 
-def rank_indices(word: Sequence, ordered: Sequence, size: int | None = None) -> int:
-    """Rank of a word within the class of the sorted word ``ordered``.
-
-    ``ordered`` must be ``sorted(word)``; callers usually have it already
-    as the class key. ``size`` may pass a precomputed class size to skip
-    recomputing it.
-    """
-    remaining = list(ordered)
-    if size is None:
-        size = multinomial(Counter(remaining).values())
+def rank_indices(word: Sequence) -> tuple[int, int]:
+    """Rank of a word within its class, and the class size."""
+    suffix: list = []
+    size = 1
     rank_value = 0
-    left = len(remaining)
-    for sym in word:
-        below = bisect_left(remaining, sym)
+    left = 0
+    for sym in reversed(word):
+        left += 1
+        below = bisect_left(suffix, sym)
+        suffix.insert(below, sym)
+        size = size * left // (bisect_right(suffix, sym, below) - below)
         if below:
             rank_value += size * below // left
-        size = size * (bisect_right(remaining, sym, below) - below) // left
-        del remaining[below]
-        left -= 1
-    return rank_value
+    return rank_value, size
 
 
 def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> list:
@@ -107,8 +105,7 @@ def rank(block: Sequence[str], alphabet: Alphabet) -> int:
     """Number of classmates of ``block`` that are lexicographically smaller."""
     if len(block) == 0:
         raise ValueError("block must contain at least one symbol")
-    indices = block_to_indices(block, alphabet)
-    return rank_indices(indices, sorted(indices))
+    return rank_indices(block_to_indices(block, alphabet))[0]
 
 
 def unrank(comp: Composition, index: int, alphabet: Alphabet) -> Block:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,8 +19,9 @@ def test_bits_to_bytes_pads_tail_with_zeros():
     assert bits_to_bytes([]) == b""
 
 
-@pytest.mark.parametrize("bad", [2, -1, 3, 255])
+@pytest.mark.parametrize("bad", [2, -1, 3, 255, 256, 1.0, 0.5, "1", b"\x01", None, [1]])
 def test_packing_rejects_non_bits(bad):
+    # non-ints too: packing raises ValueError, never TypeError
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
         bits_to_bytes([1, 0, bad, 1])
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
@@ -28,6 +31,32 @@ def test_packing_rejects_non_bits(bad):
 def test_packing_accepts_bools():
     assert bits_to_bytes([True, False]) == b"\x80"
     assert int_from_bits([True, False, True]) == 5
+
+
+def test_packing_long_runs():
+    assert bits_to_bytes([1, 0, 1, 1, 0, 0, 1, 0] * 1000 + [1]) == b"\xb2" * 1000 + b"\x80"
+    assert int_from_bits([0] * 500 + [1] * 3) == 7
+    assert int_from_bits(iter([1, 1, 0])) == 6
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        int_from_bits(iter([1, 2, 0]))  # consumed before the bad item is looked for
+    with pytest.raises(ValueError, match="got 2"):
+        bits_to_bytes([0] * 1000 + [2])
+
+
+def _shifted(value, width):
+    """The definition: bit i of the result is bit width-1-i of value."""
+    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 1500])
+def test_bits_from_int_matches_shift_definition(width):
+    rng = random.Random(width)
+    values = [0, 1, (1 << width) - 1, 1 << max(0, width - 1), rng.getrandbits(width)]
+    values += [rng.getrandbits(max(0, width - 9)), rng.getrandbits(width + 20), 1 << width, -5]
+    for value in values:
+        bits = bits_from_int(value, width)
+        assert bits == _shifted(value, width), (value, width)
+        assert len(bits) == width
 
 
 def test_int_round_trip_examples():

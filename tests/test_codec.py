@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from itertools import accumulate, product
 
 import pytest
@@ -31,7 +32,16 @@ from permsteg import (
     unframe_bits,
 )
 
-from oracles import brute_class_size, brute_decode, brute_rank
+from oracles import (
+    band_index,
+    brute_class_size,
+    brute_decode,
+    brute_decode_table,
+    brute_rank,
+    multinomial,
+    positional_rank,
+    set_bits,
+)
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -83,10 +93,12 @@ class TestPairScheme:
         assert list(st2_extract(result.stego, AB).bits) == result.consumed_bits()
 
     def test_unknown_symbol(self):
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             st2_embed(list("az"), [0], AB, random.Random(0))
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             st2_extract(list("az"), AB)
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            st2_extract(list("abz"), AB)
 
     def test_single_symbol_alphabet_rejected(self):
         with pytest.raises(InvalidAlphabet):
@@ -134,14 +146,22 @@ class TestBlockScheme:
                 stn_extract(["a"], n, ABC)
 
     def test_unknown_symbol_in_full_and_partial_blocks(self):
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             stn_embed(["a", "z"], [], 2, ABC, random.Random(0), random.Random(1))
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             stn_embed(["a", "a", "z"], [], 2, ABC, random.Random(0), random.Random(1))
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             stn_extract(["z", "a"], 2, ABC)
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             stn_extract(["a", "a", "z"], 2, ABC)
+
+    def test_unknown_symbol_named_in_stream_order(self):
+        # 'y' sorts before 'z', but 'z' comes first in the stream
+        stream = ["a", "b", "a", "z", "c", "y"]
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            stn_embed(stream, [1] * 8, 3, ABC, random.Random(0), random.Random(1))
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            stn_extract(stream, 3, ABC)
 
     def test_force_delta_invalid_for_block(self):
         with pytest.raises(InvalidDelta):
@@ -325,11 +345,90 @@ class TestPieces:
         cover = list("abcabcabcabcabcabcabcabcabcabcab") + ["z"]
         if scheme == "st2":
             pieces = st2_embed_pieces(cover, [1, 0] * 20, ABC, random.Random(1))
+            parts = st2_extract_pieces(cover, ABC)
         else:
             pieces = stn_embed_pieces(cover, [1, 0] * 20, 4, ABC, *rngs(1, 2))
+            parts = stn_extract_pieces(cover, 4, ABC)
         assert len(next(pieces).stego) == 8
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="'z'"):
             list(pieces)
+        assert len(next(parts).records) == 8 // (2 if scheme == "st2" else 4)
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            list(parts)
+
+    def test_unknown_symbol_in_a_piece_yields_none_of_it(self, monkeypatch):
+        # the piece is checked before any of its blocks is coded
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 8)
+        cover = list("abcabcab") + list("cabcazbc")
+        pieces = stn_embed_pieces(cover, [1, 0] * 20, 4, ABC, *rngs(1, 2))
+        assert len(next(pieces).stego) == 8
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            next(pieces)
+        parts = stn_extract_pieces(cover, 4, ABC)
+        assert len(next(parts).records) == 2
+        with pytest.raises(UnknownSymbol, match="'z'"):
+            next(parts)
+
+
+class TestExtractAgainstOracles:
+    """stn_extract's records and bits equal a per-block decode by the oracles."""
+
+    @staticmethod
+    def _reference(stego, n, alphabet):
+        """Per full block: class size and rank by brute force on short blocks,
+        by the multinomial and the positional scan on longer ones; the band by
+        the brute-force table on small classes, by the offset formula else."""
+        records, bits, tables = [], [], {}
+        for start in range(0, len(stego) - n + 1, n):
+            block = tuple(stego[start : start + n])
+            if n <= 6:
+                size, tau = brute_class_size(block), brute_rank(block)
+            else:
+                indices = [alphabet.index(token) for token in block]
+                size = multinomial(Counter(indices).values())
+                tau = positional_rank(indices)
+            if size <= 4096:
+                if size not in tables:
+                    tables[size] = brute_decode_table(size)
+                d, r = tables[size][tau]
+                assert (d, r) == brute_decode(size, tau)
+            else:
+                (d,) = [
+                    d for d in set_bits(size)
+                    if 0 <= tau - band_index(size, d, 0) < 1 << d
+                ]
+                r = tau - band_index(size, d, 0)
+            records.append((d, r, tau))
+            bits.extend((r >> shift) & 1 for shift in range(d - 1, -1, -1))
+        return tuple(records), tuple(bits)
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(20261018)
+        for _ in range(40):
+            k, n = rng.randint(2, 40), rng.randint(2, 12)
+            yield k, n, rng.randrange(1 << 30), 40
+        yield 3, 64, 1, 6
+        yield 26, 64, 2, 6
+        yield 256, 256, 3, 3
+
+    def test_records_and_bits_match_per_block_reference(self, monkeypatch):
+        for k, n, seed, blocks in self._cases():
+            alphabet = symbol_alphabet(k)
+            rng = random.Random(seed)
+            # Zipf weights, so short blocks recur and hit the decode map
+            weights = [1 / i for i in range(1, k + 1)]
+            stego = rng.choices(alphabet.symbols, weights=weights, k=n * blocks + n // 2)
+            records, bits = self._reference(stego, n, alphabet)
+            whole = stn_extract(stego, n, alphabet)
+            assert whole.records == records, (k, n, seed)
+            assert whole.bits == bits, (k, n, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 8)
+                parts = list(stn_extract_pieces(stego, n, alphabet))
+            assert len(parts) == blocks // max(1, 8 // n) + 1, (k, n, seed)
+            assert sum((part.records for part in parts), ()) == records, (k, n, seed)
+            assert sum((part.bits for part in parts), ()) == bits, (k, n, seed)
 
 
 class _PerBitFeed:
