@@ -34,8 +34,14 @@ the last one read may have been taken from the caller's iterator.
 The block scheme takes each piece (see below) as one list, checks all its
 tokens at once (an unknown one raises UnknownSymbol naming the first in
 stream order, and its piece is not yielded) and splits it into blocks with
-``zip``. Extract appends each block's payload value to a window int and
-turns each window of 64 or more bits into bit values in C.
+``zip``. Embed maps each raw block of a small class to its class entry in
+a memo; any other block is sorted and its class size N taken in one
+run-length pass. It then draws u uniform on [0, N) from the delta generator
+as ``randrange(N)`` would (nothing for a power of two), takes d as the band
+holding u and the index as offset(d) + r, all as int arithmetic on N; only
+a ``force_delta`` draw goes through ``payload.sample_delta``. Extract, like
+``EmbedResult.consumed_bits``, appends each block's payload value to a
+window int and turns each window of 64 or more bits into bit values in C.
 
 Results keep one plain tuple of ints per block (``records``) rather than one
 record object per block; the pair scheme and extract's decode map reuse one
@@ -58,25 +64,27 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import ranking
 from .alphabet import Alphabet
+# bits_from_int and encode_index are inlined below; bench/tracing.py wraps them by name here.
 from .bits import BIT_DIGITS, DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
-from .payload import BinaryExpansion, decode_index, encode_index, expand, sample_delta
-from .ranking import multinomial, rank_indices, unrank_indices
+from .payload import decode_index, encode_index, expand, sample_delta
+from .ranking import rank_indices, sorted_class_size, unrank_indices
 
 # Embed builds a full member table for a class only once it has repeated
 # enough to amortize the enumeration (hits scale with the class size), and
 # extract remembers the decoding of each distinct block of a small class, so
 # streams with recurring small classes trade memory for speed while one-off
-# classes (large alphabets) stay on the rank/unrank path. Embed's class table
-# keeps only classes small enough for a member table, and it and extract's
-# decode map are capped at _MEMBER_TABLE_BUDGET entries.
+# classes (large alphabets) stay on the rank/unrank path. Embed keeps a class
+# entry only for a class small enough for a member table, in a map from its
+# sorted key and a memo from each of its raw blocks; those two maps and
+# extract's decode map are capped at _MEMBER_TABLE_BUDGET entries.
 _MEMBER_TABLE_MAX_CLASS = 2048
 _MEMBER_TABLE_HIT_FACTOR = 24
 _MEMBER_TABLE_BUDGET = 1 << 21
@@ -150,10 +158,15 @@ class EmbedResult:
 
     def consumed_bits(self) -> list[int]:
         """Every payload bit the embedder consumed (genuine first, then padding)."""
-        out: list[int] = []
-        for _, delta, payload, _ in self.records:
-            out.extend(bits_from_int(payload, delta))
-        return out
+        bits = bytearray()
+        window = 1  # a leading 1, then the payload values not yet in ``bits``
+        for _, d, r, _ in self.records:
+            window = (window << d) | r
+            if window >> _WINDOW_BITS:
+                bits += bin(window)[3:].encode().translate(DIGIT_BITS)
+                window = 1
+        bits += bin(window)[3:].encode().translate(DIGIT_BITS)
+        return list(bits)
 
 
 @dataclass(frozen=True)
@@ -236,42 +249,6 @@ class _BitFeed:
             self._iter = None
         self.padding += need
         return (value << need) | self._rng.getrandbits(need)
-
-
-class _ClassInfo:
-    """One embed stream's data for a class: size, expansion, optional member table."""
-
-    __slots__ = ("size", "exp", "hits", "pending", "members")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.exp: BinaryExpansion = expand(size)
-        self.hits = 0
-        self.pending = size <= _MEMBER_TABLE_MAX_CLASS
-        self.members: list[tuple[str, ...]] | None = None
-
-
-def _class_members(sorted_word: Sequence) -> list[tuple]:
-    """All distinct rearrangements in lexicographic order (next-permutation walk).
-
-    Works for any comparable elements; canonical token order is plain string
-    order, so walking tokens and walking alphabet indices agree.
-    """
-    word = list(sorted_word)
-    members = [tuple(word)]
-    last = len(word) - 1
-    while True:
-        i = last - 1
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return members
-        j = last
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1 :] = word[last:i:-1]
-        members.append(tuple(word))
 
 
 def _symbol_indexer(alphabet: Alphabet) -> dict[str, int]:
@@ -380,8 +357,11 @@ def _stn_embed(
     index = _symbol_indexer(alphabet)
     feed = _BitFeed(hidden, padding_rng)
     read_int = feed.read_int
-    # Only classes that may still get a member table are remembered.
-    classes: dict[tuple[str, ...], _ClassInfo] = {}
+    getrandbits = delta_rng.getrandbits
+    # [size, draw width or 0 for a power of two, hits or -1 once the member
+    # table is decided, member table, sorted key] per class; see above
+    classes: dict[tuple[str, ...], list] = {}
+    memo: dict[tuple[str, ...], list] = {}
     budget = _MEMBER_TABLE_BUDGET
     forced = force_delta is not None
     piece_size = n * max(1, piece_symbols // n)
@@ -394,30 +374,46 @@ def _stn_embed(
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
         records: list[tuple[int, int, int, int]] = []
-        for chunk in zip(*[iter(piece)] * n):
-            key = tuple(sorted(chunk))
-            info = classes.get(key)
-            if info is None:
-                info = _ClassInfo(multinomial(Counter(key).values()))
-                if info.pending and len(classes) < _MEMBER_TABLE_BUDGET:
-                    classes[key] = info
-            if info.pending:
-                info.hits += 1
-                if info.hits >= 2 and info.hits * _MEMBER_TABLE_HIT_FACTOR >= info.size:
-                    info.pending = False
-                    if info.size <= budget:
-                        info.members = _class_members(key)
-                        budget -= info.size
-            exp = info.exp
-            d = sample_delta(exp, delta_rng, force_delta)
+        for block in zip(*[iter(piece)] * n):
+            entry = memo.get(block)
+            if entry is None:
+                key = sorted(block)
+                size = sorted_class_size(key)
+                width = size.bit_length() if size & (size - 1) else 0
+                if size > _MEMBER_TABLE_MAX_CLASS:
+                    entry = [size, width, -1, None, key]
+                else:
+                    key = tuple(key)
+                    entry = classes.get(key) or [size, width, 0, None, key]
+                    if len(memo) < _MEMBER_TABLE_BUDGET:  # memo >= classes, so this caps both
+                        classes[key] = memo[block] = entry
+            size, width, hits, members, key = entry
+            if hits >= 0:
+                entry[2] = hits = hits + 1
+                if hits >= 2 and hits * _MEMBER_TABLE_HIT_FACTOR >= size:
+                    entry[2] = -1
+                    if size <= budget:
+                        # via the ranking module, so that calls by this module's
+                        # name stay one per block that misses the member tables
+                        unrank = ranking.unrank_indices
+                        entry[3] = members = [tuple(unrank(key, t, size)) for t in range(size)]
+                        budget -= size
+            if forced:
+                d = sample_delta(expand(size), delta_rng, force_delta)
+            else:
+                # u uniform on [0, N) by randrange(N)'s own rejection loop, and
+                # d the band holding u; a power of two draws nothing
+                u = getrandbits(width) if width else 0
+                while u >= size:
+                    u = getrandbits(width)
+                d = (size ^ u).bit_length() - 1
             r = read_int(d)
-            tau = encode_index(exp, d, r)
-            members = info.members
+            tau = size >> d >> 1 << d << 1 | r
             if members is not None:
                 out.extend(members[tau])
             else:
-                out.extend(unrank_indices(key, tau, info.size))
-            records.append((info.size, d, r, tau))
+                out.extend(unrank_indices(key, tau, size))
+            records.append((size, d, r, tau))
         out.extend(piece[len(piece) - len(piece) % n :])  # trailing partial block, untouched
         yield EmbedResult(
             tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records), forced

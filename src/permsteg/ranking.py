@@ -7,27 +7,29 @@ undetectable. The class is ordered lexicographically (canonical symbol
 order) and its members are addressed by rank, from 0 to the class size
 minus one.
 
-The class size is the multinomial coefficient n! / prod(count_a!). At a
-position with ``left`` letters remaining and ``size`` arrangements of them,
-the words starting with any of the ``below`` smaller letters number exactly
+The class size is the multinomial coefficient n! / prod(count_a!), which
+one pass over a sorted word builds run by run: its j-th letter multiplies
+the size so far by j over the letter's count among those j. At a position
+with ``left`` letters remaining and ``size`` arrangements of them, the words
+starting with any of the ``below`` smaller letters number exactly
 ``size * below // left``; ``below`` is a bisection in a sorted list of those
 letters. Unranking walks forward from the class size and deletes each
-placed letter from the list. Ranking walks backward from the last letter:
-it inserts each letter into the list and multiplies the suffix's class size
-by ``left`` over the letter's count in the suffix, so it needs no sorted key
-and yields the class size with the rank. Either way each position costs
-O(1) big-integer operations, O(log n) bisections and one list edit. The
-items only need to be in canonical order: alphabet indices and tokens both
-work, since canonical token order is plain string order. Everything here is
-exact arbitrary-precision arithmetic; class sizes overflow 64 bits for
-quite small blocks already.
+placed letter from the list, until the rank left is 0, whose word is the
+remaining letters in sorted order. Ranking walks backward from the last
+letter: it inserts each letter into the list and multiplies the suffix's
+class size by ``left`` over the letter's count in the suffix, so it needs
+no sorted key and yields the class size with the rank. Either way each
+position costs O(1) big-integer operations, O(log n) bisections and one list
+edit. The items only need to be in canonical order: alphabet indices and
+tokens both work, since canonical token order is plain string order.
+Everything here is exact arbitrary-precision arithmetic; class sizes
+overflow 64 bits for quite small blocks already.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import Sequence
 
 from .alphabet import (
@@ -55,6 +57,21 @@ def multinomial(counts) -> int:
     return result
 
 
+def sorted_class_size(ordered: Sequence) -> int:
+    """Class size of the sorted word ``ordered``, in one run-length pass."""
+    size, left, run = 1, 0, 0
+    prev = ordered[0] if ordered else None  # the first letter extends a run of 0
+    for sym in ordered:
+        left += 1
+        if sym == prev:
+            run += 1
+            size = size * left // run
+        else:
+            prev, run = sym, 1
+            size *= left
+    return size
+
+
 def rank_indices(word: Sequence) -> tuple[int, int]:
     """Rank of a word within its class, and the class size."""
     suffix: list = []
@@ -75,12 +92,12 @@ def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> li
     """Word with the given rank within the class of the sorted word ``ordered``."""
     remaining = list(ordered)
     if size is None:
-        size = multinomial(Counter(remaining).values())
+        size = sorted_class_size(remaining)
     if not (0 <= index < size):
         raise IndexOutOfRange(f"rank {index} outside [0, {size})")
     out = []
     left = len(remaining)
-    for _ in range(left):
+    while index:
         # The words starting with remaining[q] hold the ranks from
         # size * below / left on, a range that covers size * q / left up
         # to size * (q + 1) / left and so covers index.
@@ -93,6 +110,7 @@ def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> li
         size = size * (bisect_right(remaining, sym, q) - below) // left
         del remaining[below]
         left -= 1
+    out += remaining  # rank 0 among the letters left: their sorted order
     return out
 
 

@@ -11,15 +11,21 @@ import permsteg.codec
 from permsteg import (
     Alphabet,
     BlockTrace,
+    Composition,
+    EmbedResult,
     ExtractTrace,
     InvalidAlphabet,
     InvalidBlockLength,
     InvalidDelta,
     UnknownSymbol,
+    bits_from_int,
     bytes_to_bits,
     composition_of,
     draw_hidden_bits,
+    encode_index,
+    expand,
     frame_payload,
+    sample_delta,
     st2_embed,
     st2_embed_pieces,
     st2_extract,
@@ -38,8 +44,10 @@ from oracles import (
     brute_decode,
     brute_decode_table,
     brute_rank,
+    enumerate_class,
     multinomial,
     positional_rank,
+    positional_unrank,
     set_bits,
 )
 
@@ -429,6 +437,169 @@ class TestExtractAgainstOracles:
             assert len(parts) == blocks // max(1, 8 // n) + 1, (k, n, seed)
             assert sum((part.records for part in parts), ()) == records, (k, n, seed)
             assert sum((part.bits for part in parts), ()) == bits, (k, n, seed)
+
+
+def _zipf_cover(k, n, blocks, seed):
+    """A Zipf cover of ``blocks`` blocks plus half a block, so short blocks recur."""
+    alphabet = symbol_alphabet(k)
+    rng = random.Random(seed)
+    weights = [1 / i for i in range(1, k + 1)]
+    return rng.choices(alphabet.symbols, weights=weights, k=n * blocks + n // 2), alphabet
+
+
+class TestEmbedAgainstOracles:
+    """stn_embed's stego and records equal a per-block embed by the oracles."""
+
+    @staticmethod
+    def _reference(cover, hidden, n, alphabet, seed):
+        """Per full block: the class size by brute force on short blocks, by the
+        multinomial on longer ones; the payload length and index by
+        payload.sample_delta/encode_index on a twin delta generator; the word
+        from the enumerated class on short blocks, by the positional scan else."""
+        delta_rng, padding_rng = rngs(seed, seed + 1)
+        feed = _PerBitFeed(hidden, padding_rng)
+        stego, records = [], []
+        for start in range(0, len(cover) - n + 1, n):
+            block = tuple(cover[start : start + n])
+            indices = [alphabet.index(token) for token in block]
+            if n <= 6:
+                size = brute_class_size(block)
+            else:
+                size = multinomial(Counter(indices).values())
+            exp = expand(size)
+            d = sample_delta(exp, delta_rng)
+            r = feed.read_int(d)
+            tau = encode_index(exp, d, r)
+            if n <= 6:
+                stego.extend(enumerate_class(block)[tau])
+            else:
+                comp = Composition(tuple(sorted(Counter(indices).items())), n)
+                stego.extend(alphabet[i] for i in positional_unrank(comp, tau, size))
+            records.append((size, d, r, tau))
+        stego.extend(cover[len(cover) - len(cover) % n :])
+        return tuple(stego), tuple(records), feed.genuine, feed.padding
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(20261019)
+        for _ in range(40):
+            k, n = rng.randint(2, 40), rng.randint(2, 12)
+            yield k, n, rng.randrange(1 << 30), 60
+        yield 3, 64, 1, 6
+        yield 26, 64, 2, 6
+        yield 256, 256, 3, 3
+
+    def test_stego_and_records_match_per_block_reference(self, monkeypatch):
+        mid_block = 0
+        for k, n, seed, blocks in self._cases():
+            cover, alphabet = _zipf_cover(k, n, blocks, seed)
+            # payload lengths do not depend on the payload, so a first pass
+            # finds a block of d >= 2 bits to run the payload out inside of
+            _, records, _, _ = self._reference(cover, [], n, alphabet, seed)
+            ends = list(accumulate(d for _, d, _, _ in records))
+            spans = list(zip([0] + ends, ends))
+            half = spans[-1][1] // 2
+            cut = next((end - 1 for start, end in spans if end > half and end - start >= 2), half)
+            mid_block += any(start < cut < end for start, end in spans)
+            hidden = draw_hidden_bits(cut, random.Random(seed))
+            stego, records, genuine, padding = self._reference(cover, hidden, n, alphabet, seed)
+            assert genuine == cut and padding > 0, (k, n, seed)
+            whole = stn_embed(cover, hidden, n, alphabet, *rngs(seed, seed + 1))
+            assert whole.stego == stego, (k, n, seed)
+            assert whole.records == records, (k, n, seed)
+            assert (whole.bits_embedded, whole.padding_bits) == (genuine, padding), (k, n, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 8)
+                pieces = list(stn_embed_pieces(cover, hidden, n, alphabet, *rngs(seed, seed + 1)))
+            assert len(pieces) == blocks // max(1, 8 // n) + 1, (k, n, seed)
+            assert sum((piece.stego for piece in pieces), ()) == stego, (k, n, seed)
+            assert sum((piece.records for piece in pieces), ()) == records, (k, n, seed)
+            assert sum(piece.bits_embedded for piece in pieces) == genuine, (k, n, seed)
+            assert sum(piece.padding_bits for piece in pieces) == padding, (k, n, seed)
+        assert mid_block >= 30
+
+    @staticmethod
+    def _embed_with_caps(hidden, cover, alphabet, n, cap):
+        """Joined pieces of an embed, checking after each piece that embed's
+        class map and raw-block memo hold at most ``cap`` entries, and its
+        member tables (an entry's fourth item) at most ``cap`` words."""
+        pieces, sizes = [], []
+        gen = stn_embed_pieces(cover, hidden, n, alphabet, *rngs(5, 6))
+        for piece in gen:
+            pieces.append(piece)
+            state = gen.gi_frame.f_locals
+            sizes.append((len(state["classes"]), len(state["memo"])))
+            assert max(sizes[-1]) <= cap
+            assert sum(len(entry[3] or ()) for entry in state["classes"].values()) <= cap
+        stego = sum((piece.stego for piece in pieces), ())
+        return stego, sum((piece.records for piece in pieces), ()), sizes[-1]
+
+    @pytest.mark.parametrize("k, n", [(8, 4), (4, 6), (3, 8)])
+    def test_member_table_caps_do_not_change_output(self, monkeypatch, k, n):
+        cover, alphabet = _zipf_cover(k, n, 400, seed=k * n)
+        hidden = draw_hidden_bits(200 * n, random.Random(n))
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 64)
+        unranks = []
+        original = permsteg.codec.unrank_indices
+
+        def counted(*args):
+            unranks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(permsteg.codec, "unrank_indices", counted)
+        budget = permsteg.codec._MEMBER_TABLE_BUDGET
+        default = self._embed_with_caps(hidden, cover, alphabet, n, budget)
+        default_unranks = len(unranks)
+        assert default_unranks < 400  # member tables served some blocks
+        assert min(default[2]) > 4  # more distinct classes and raw blocks than the cap below
+        with monkeypatch.context() as patch:
+            patch.setattr(permsteg.codec, "_MEMBER_TABLE_MAX_CLASS", 0)
+            del unranks[:]
+            no_tables = self._embed_with_caps(hidden, cover, alphabet, n, 0)
+            assert len(unranks) == 400  # every block unranked
+        assert no_tables[:2] == default[:2]
+        for cap in (4, 40):
+            with monkeypatch.context() as patch:
+                patch.setattr(permsteg.codec, "_MEMBER_TABLE_BUDGET", cap)
+                del unranks[:]
+                capped = self._embed_with_caps(hidden, cover, alphabet, n, cap)
+                assert default_unranks <= len(unranks) <= 400
+            assert capped[:2] == default[:2]
+
+
+class TestConsumedBits:
+    """consumed_bits() packs per 64-bit window what bits_from_int gives per record."""
+
+    @staticmethod
+    def _per_record(records):
+        return [bit for _, d, r, _ in records for bit in bits_from_int(r, d)]
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            (),
+            ((1, 0, 0, 0),) * 70,
+            ((6, 2, 3, 3), (1, 0, 0, 0), (6, 1, 0, 4), (12, 3, 5, 5), (24, 4, 9, 9)) * 40,
+            ((1 << 70, 70, (1 << 70) - 1, (1 << 70) - 1), (2, 1, 0, 0), (1 << 64, 64, 5, 5)),
+        ],
+    )
+    def test_synthetic_records(self, records):
+        result = EmbedResult((), 0, 0, records)
+        assert result.consumed_bits() == self._per_record(records)
+
+    @pytest.mark.parametrize("k, n, blocks", [(8, 4, 300), (26, 10, 60), (256, 256, 4)])
+    def test_embedded_records_and_joined_pieces(self, monkeypatch, k, n, blocks):
+        cover, alphabet = _zipf_cover(k, n, blocks, seed=n)
+        hidden = draw_hidden_bits(blocks * n, random.Random(k))
+        whole = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
+        bits = whole.consumed_bits()
+        assert bits == self._per_record(whole.records)
+        assert list(stn_extract(whole.stego, n, alphabet).bits) == bits
+        if k == 256:
+            assert min(d for _, d, _, _ in whole.records) >= 64
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 3 * n)
+        pieces = list(stn_embed_pieces(cover, hidden, n, alphabet, *rngs(1, 2)))
+        assert sum((piece.consumed_bits() for piece in pieces), []) == bits
 
 
 class _PerBitFeed:

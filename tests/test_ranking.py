@@ -21,7 +21,15 @@ from permsteg import (
     unrank_indices,
 )
 
-from oracles import brute_rank, enumerate_class, positional_rank, positional_unrank
+from permsteg.ranking import sorted_class_size
+
+from oracles import (
+    brute_class_size,
+    brute_rank,
+    enumerate_class,
+    positional_rank,
+    positional_unrank,
+)
 
 ABC = Alphabet(["a", "b", "c"])
 AB = Alphabet(["a", "b"])
@@ -179,3 +187,53 @@ class TestAgainstPositionalReference:
             unrank_indices(word, 1)
         with pytest.raises(IndexOutOfRange):
             unrank_indices(word, -1)
+
+
+class TestRunLengthSizeAndEarlyStop:
+    """The run-length class size and the unrank that stops at rank 0."""
+
+    def test_sorted_class_size_matches_multinomial_and_brute_force(self):
+        rng, shapes = _differential_shapes()
+        for k, n in shapes[::7] + [(1, 1), (3, 0)]:
+            alpha = Alphabet(str(i) for i in range(k))
+            indices = sorted(rng.randrange(k) for _ in range(n))
+            tokens = sorted(alpha[i] for i in indices)
+            size = multinomial(Counter(indices).values())
+            assert sorted_class_size(indices) == sorted_class_size(tokens) == size, (k, n)
+            assert sorted_class_size(tuple(tokens)) == size, (k, n)
+        for k in (2, 3, 4):
+            for n in range(1, 7):
+                for block in product("abcd"[:k], repeat=n):
+                    assert sorted_class_size(sorted(block)) == brute_class_size(block)
+
+    @pytest.mark.parametrize("ordered", [["a", "a", "b", "c"], (0, 0, 1, 2, 2), ["x"], []])
+    def test_rank_zero_is_a_fresh_sorted_list(self, ordered):
+        before = list(ordered)
+        word = unrank_indices(ordered, 0)
+        assert word == before and word is not ordered
+        word.append("z")
+        assert list(ordered) == before
+        assert unrank_indices(ordered, 0, sorted_class_size(ordered)) == before
+
+    def test_never_mutates_ordered(self):
+        ordered = sorted("mississippi")
+        copy = list(ordered)
+        for tau in range(0, sorted_class_size(ordered), 97):
+            unrank_indices(ordered, tau)
+            assert ordered == copy
+
+    @pytest.mark.parametrize(
+        "word", [["q"], ["s7"] * 5, list("aabbbc"), list(range(9)), [0, 1] * 40]
+    )
+    def test_size_one_class_and_last_index_round_trip(self, word):
+        ordered = sorted(word)
+        size = sorted_class_size(ordered)
+        last = unrank_indices(ordered, size - 1, size)
+        assert last == sorted(word, reverse=True)
+        assert rank_indices(last) == (size - 1, size)
+        assert unrank_indices(ordered, rank_indices(word)[0]) == word
+        for bad in (size, size + 1, -1):
+            with pytest.raises(IndexOutOfRange):
+                unrank_indices(ordered, bad)
+            with pytest.raises(IndexOutOfRange):
+                unrank_indices(ordered, bad, size)
