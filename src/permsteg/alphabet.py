@@ -1,20 +1,18 @@
-"""Symbol alphabets, blocks, and letter-count compositions.
+"""Symbol alphabets and blocks.
 
 Symbols are opaque string tokens. Every comparison in the package uses one
 canonical total order: lexicographic order of the UTF-8 encoding of the
 token. Python's native ``str`` ordering coincides with UTF-8 byte order
 (UTF-8 preserves code-point order), so plain string comparison realizes it.
 
-A block is a plain tuple of tokens. Its composition records how often each
-alphabet symbol occurs; two blocks are permutations of one another exactly
-when their compositions are equal.
+A block is a plain tuple of tokens. Two blocks are permutations of one
+another exactly when their sorted tuples are equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InvalidAlphabet, UnknownSymbol
 
@@ -109,38 +107,3 @@ def symbol_alphabet(size: int, prefix: str = "s") -> Alphabet:
         raise InvalidAlphabet("size must be >= 1")
     width = len(str(size - 1))
     return Alphabet(f"{prefix}{i:0{width}d}" for i in range(size))
-
-
-@dataclass(frozen=True, slots=True)
-class Composition:
-    """Letter counts of a block, sparse over the alphabet.
-
-    ``counts`` holds (symbol index, count) pairs sorted by symbol index with
-    every count positive; ``n`` is the block length (the sum of the counts).
-    Symbols absent from ``counts`` occur zero times.
-    """
-
-    counts: tuple[tuple[int, int], ...]
-    n: int
-
-
-def composition_from_indices(indices: Sequence[int]) -> Composition:
-    """Composition of a block already resolved to alphabet indices."""
-    counter = Counter(indices)
-    return Composition(tuple(sorted(counter.items())), len(indices))
-
-
-def composition_of(block: Sequence[Token], alphabet: Alphabet) -> Composition:
-    """Letter-count composition of a block; permutation-invariant."""
-    if len(block) == 0:
-        raise ValueError("block must contain at least one symbol")
-    return composition_from_indices([alphabet.index(t) for t in block])
-
-
-def block_to_indices(block: Sequence[Token], alphabet: Alphabet) -> list[int]:
-    return [alphabet.index(t) for t in block]
-
-
-def indices_to_block(indices: Sequence[int], alphabet: Alphabet) -> Block:
-    symbols = alphabet.symbols
-    return tuple(symbols[i] for i in indices)

@@ -2,9 +2,13 @@
 
 The central check is exact: enumerate every cover block, every admissible
 payload length with its band probability, and every equiprobable payload
-value; push each triple through the real encoding path; and accumulate the
-probability of each emitted block. For a rational source model the result
-must equal the i.i.d. product distribution exactly, not approximately.
+value; map each triple to a classmate with the band code and class
+unranking; and accumulate the probability of each emitted block. For a
+rational source model the result must equal the i.i.d. product
+distribution exactly, not approximately. This checks the scheme's formula,
+not the embed loop, which inlines the band code; the acceptance test
+``test_embed_loop_output_law_is_exact`` drives ``stn_embed`` itself through
+every draw and payload value on a small model.
 
 Empirical checks back this up at scale: chi-square goodness of fit of
 embedded output against the product law, and measured hiding rates
@@ -31,11 +35,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
 
-from .alphabet import Block, Composition, indices_to_block
+from .alphabet import Block
 from .codec import EmbedResult, stn_embed
 from .errors import DegenerateCells, EmptyTrace, SpaceTooLarge
 from .payload import encode_index, expand
-from .ranking import class_size, multinomial, sorted_indices, unrank_indices
+from .ranking import multinomial, sorted_class_size, unrank_indices
 from .sources import Probability, SourceModel, draw_cover, hidden_bit_stream
 
 EXACT_SPACE_GUARD = 10**6
@@ -78,9 +82,11 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
     """Exact law of the block scheme's output under the given cover model.
 
     Sums over every cover block, every admissible payload length with its
-    band probability, and every payload value, routing each combination
-    through the production encode path (band index + class unranking).
-    Exact rational arithmetic whenever the model is rational.
+    band probability, and every payload value, mapping each combination to
+    the classmate at its band index (``encode_index``, then unranking). It
+    checks the formula, not ``stn_embed``'s inlined loop, which
+    ``test_embed_loop_output_law_is_exact`` drives exhaustively. Exact
+    rational arithmetic whenever the model is rational.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
@@ -89,10 +95,8 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
     rational = model.is_rational
     out: dict[tuple[int, ...], Probability] = {}
     for counts in iter_compositions(n, len(model.alphabet)):
-        comp = Composition(tuple((i, c) for i, c in enumerate(counts) if c), n)
-        size = class_size(comp)
-        exp = expand(size)
-        ordered = sorted_indices(comp)
+        size = multinomial(counts)
+        ordered = [i for i, c in enumerate(counts) for _ in range(c)]
         members = [tuple(unrank_indices(ordered, t, size)) for t in range(size)]
         class_prob: Probability = Fraction(0) if rational else 0.0
         for member in members:
@@ -100,7 +104,7 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
             for i in member[1:]:
                 p = p * probs[i]
             class_prob = class_prob + p
-        for d in exp.levels:
+        for d in expand(size):
             if rational:
                 band_prob = Fraction(1 << d, size)
                 payload_prob = Fraction(1, 1 << d)
@@ -109,12 +113,12 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
                 payload_prob = 1.0 / (1 << d)
             contribution = class_prob * band_prob * payload_prob
             for r in range(1 << d):
-                tau = encode_index(exp, d, r)
+                tau = encode_index(size, d, r)
                 emitted = members[tau]
                 prev = out.get(emitted)
                 out[emitted] = contribution if prev is None else prev + contribution
-    alphabet = model.alphabet
-    return {indices_to_block(v, alphabet): p for v, p in out.items()}
+    symbols = model.alphabet.symbols
+    return {tuple(symbols[i] for i in v): p for v, p in out.items()}
 
 
 @dataclass(frozen=True)
@@ -334,9 +338,7 @@ def rate_lower_bound(
     draw = model.draw_index
     logs = []
     for _ in range(samples):
-        counts = Counter(draw(rng) for _ in range(n))
-        comp = Composition(tuple(sorted(counts.items())), n)
-        logs.append(math.log2(class_size(comp)))
+        logs.append(math.log2(sorted_class_size(sorted(draw(rng) for _ in range(n)))))
     mean = sum(logs) / samples
     variance = sum((x - mean) ** 2 for x in logs) / (samples - 1)
     std_error = math.sqrt(variance / samples)

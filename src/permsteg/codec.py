@@ -71,7 +71,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ranking
 from .alphabet import Alphabet
-# bits_from_int and encode_index are inlined below; bench/tracing.py wraps them by name here.
+# bits_from_int, encode_index and expand go unused here (the first two are
+# inlined below); bench/tracing.py wraps them by name in this module.
 from .bits import BIT_DIGITS, DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import decode_index, encode_index, expand, sample_delta
@@ -395,11 +396,11 @@ def _stn_embed(
                     if size <= budget:
                         # via the ranking module, so that calls by this module's
                         # name stay one per block that misses the member tables
-                        unrank = ranking.unrank_indices
-                        entry[3] = members = [tuple(unrank(key, t, size)) for t in range(size)]
+                        member = ranking.unrank_indices
+                        entry[3] = members = [tuple(member(key, t, size)) for t in range(size)]
                         budget -= size
             if forced:
-                d = sample_delta(expand(size), delta_rng, force_delta)
+                d = sample_delta(size, delta_rng, force_delta)
             else:
                 # u uniform on [0, N) by randrange(N)'s own rejection loop, and
                 # d the band holding u; a power of two draws nothing
@@ -442,7 +443,7 @@ def _stn_extract(
             rec = decoded.get(block)
             if rec is None:
                 tau, size = rank_indices(block)
-                d, r = decode_index(expand(size), tau)
+                d, r = decode_index(size, tau)
                 rec = (d, r, tau)
                 if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
                     decoded[block] = rec

@@ -22,58 +22,43 @@ same as drawing u uniform on [0, N) and taking the band that holds u. The
 decoder recovers (d, r) from tau alone; no shared randomness is needed.
 
 A power of two has a single band, so its draw is forced and consumes no
-randomness.
+randomness. Every function here takes N itself and raises NonPositive
+unless N is an int >= 1.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, InvalidDelta, NonPositive, PayloadOutOfRange
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryExpansion:
-    """A positive class size N, read through its base-2 digits."""
-
-    value: int
-
-    @property
-    def m(self) -> int:
-        """Position of the leading bit: floor(log2(value))."""
-        return self.value.bit_length() - 1
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        """Set bit positions of ``value``, in descending order (band order)."""
-        m = self.m
-        return tuple(m - j for j, digit in enumerate(bin(self.value)[2:]) if digit == "1")
-
-
-def expand(value: int) -> BinaryExpansion:
-    """Binary expansion of ``value`` >= 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def _positive(value: int) -> int:
+    """``value`` itself, once checked to be an int >= 1 (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise NonPositive(f"expected a positive integer, got {value!r}")
-    if value < 1:
-        raise NonPositive(f"expected a positive integer, got {value}")
-    return BinaryExpansion(value)
+    return value
 
 
-def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = None) -> int:
-    """Draw a payload length with band probabilities 2**i / N.
+def expand(value: int) -> tuple[int, ...]:
+    """Set bit positions of ``value`` >= 1, in descending order (band order)."""
+    m = _positive(value).bit_length() - 1
+    return tuple(m - j for j, digit in enumerate(bin(value)[2:]) if digit == "1")
+
+
+def sample_delta(value: int, rng: random.Random, forced: int | None = None) -> int:
+    """Draw a payload length with band probabilities 2**i / N for N = ``value``.
 
     A power-of-two class has a single band, so the draw is forced and the
     generator is not consumed. ``forced`` overrides the draw with a fixed,
     admissible length (test hook; InvalidDelta if the band does not exist).
     """
-    value = exp.value
+    width = _positive(value).bit_length()
     if forced is not None:
-        if not (0 <= forced < value.bit_length() and value >> forced & 1):
+        if not (0 <= forced < width and value >> forced & 1):
             raise InvalidDelta(f"forced payload length {forced} is not a set bit of {value}")
         return forced
-    width = value.bit_length()
     if value & (value - 1) == 0:
         return width - 1
     # A uniform u on [0, N) by rejection from width-bit draws: the loop of
@@ -85,25 +70,23 @@ def sample_delta(exp: BinaryExpansion, rng: random.Random, forced: int | None = 
     return (value ^ u).bit_length() - 1
 
 
-def encode_index(exp: BinaryExpansion, d: int, r: int) -> int:
+def encode_index(value: int, d: int, r: int) -> int:
     """Class index for payload value ``r`` carried in a band of width 2**d."""
-    value = exp.value
-    if not (0 <= d < value.bit_length() and value >> d & 1):
+    if not (_positive(value).bit_length() > d >= 0 and value >> d & 1):
         raise InvalidDelta(f"payload length {d} is not a set bit of {value}")
     if not (0 <= r < (1 << d)):
         raise PayloadOutOfRange(f"payload value {r} does not fit in {d} bits")
     return ((value >> (d + 1)) << (d + 1)) | r
 
 
-def decode_index(exp: BinaryExpansion, tau: int) -> tuple[int, int]:
+def decode_index(value: int, tau: int) -> tuple[int, int]:
     """Invert encode_index: the unique (d, r) whose band contains ``tau``."""
-    value = exp.value
-    if not (0 <= tau < value):
+    if not (_positive(value) > tau >= 0):
         raise IndexOutOfRange(f"class index {tau} outside [0, {value})")
     d = (value ^ tau).bit_length() - 1
     return d, tau & ((1 << d) - 1)
 
 
-def expected_payload_bits(exp: BinaryExpansion) -> Fraction:
+def expected_payload_bits(value: int) -> Fraction:
     """Mean payload length under the band distribution: sum(l * 2**l) / N."""
-    return Fraction(sum(level << level for level in exp.levels), exp.value)
+    return Fraction(sum(level << level for level in expand(value)), value)

@@ -32,19 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
-from .alphabet import (
-    Alphabet,
-    Block,
-    Composition,
-    block_to_indices,
-    indices_to_block,
-)
 from .errors import IndexOutOfRange
-
-
-def class_size(comp: Composition) -> int:
-    """Number of distinct arrangements of a block with the given composition."""
-    return multinomial(cnt for _, cnt in comp.counts)
 
 
 def multinomial(counts) -> int:
@@ -112,20 +100,3 @@ def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> li
         left -= 1
     out += remaining  # rank 0 among the letters left: their sorted order
     return out
-
-
-def sorted_indices(comp: Composition) -> list[int]:
-    """The class's first member: each symbol index repeated by its count."""
-    return [sym for sym, cnt in comp.counts for _ in range(cnt)]
-
-
-def rank(block: Sequence[str], alphabet: Alphabet) -> int:
-    """Number of classmates of ``block`` that are lexicographically smaller."""
-    if len(block) == 0:
-        raise ValueError("block must contain at least one symbol")
-    return rank_indices(block_to_indices(block, alphabet))[0]
-
-
-def unrank(comp: Composition, index: int, alphabet: Alphabet) -> Block:
-    """The unique member of the class of ``comp`` with the given rank."""
-    return indices_to_block(unrank_indices(sorted_indices(comp), index), alphabet)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
-from permsteg import Composition, IndexOutOfRange
+from permsteg import IndexOutOfRange
 
 
 def enumerate_class(block) -> list[tuple]:
@@ -120,17 +120,18 @@ def positional_rank(indices: Sequence[int], size: int | None = None) -> int:
     return rank_value
 
 
-def positional_unrank(comp: Composition, index: int, size: int | None = None) -> list[int]:
-    """Index block with the given rank within the class of ``comp``."""
+def positional_unrank(ordered: Sequence[int], index: int, size: int | None = None) -> list[int]:
+    """Index block with the given rank within the class of the sorted word ``ordered``."""
+    counter = Counter(ordered)
+    symbols = sorted(counter)
+    counts = [counter[s] for s in symbols]
     if size is None:
-        size = multinomial(c for _, c in comp.counts)
+        size = multinomial(counts)
     if not (0 <= index < size):
         raise IndexOutOfRange(f"rank {index} outside [0, {size})")
-    symbols = [s for s, _ in comp.counts]
-    counts = [c for _, c in comp.counts]
     out: list[int] = []
-    left = comp.n
-    for _ in range(comp.n):
+    left = len(ordered)
+    for _ in range(len(ordered)):
         j = 0
         while True:
             starting_here = size * counts[j] // left

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from permsteg import (
     Alphabet,
@@ -35,6 +36,8 @@ from permsteg import (
     symbol_alphabet,
     uniform_model,
 )
+
+from oracles import brute_class_size, brute_decode_table
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -90,6 +93,58 @@ def test_criterion_01_exact_indistinguishability():
         ok,
         f"rational deviation {worst_rational}, double deviation {worst_double:.2e}",
     )
+
+
+class _ScriptedDraws(random.Random):
+    """A delta generator whose getrandbits serves scripted (u, width) pairs."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def getrandbits(self, k):
+        u, width = next(self.draws)
+        assert k == width, (k, width)
+        return u
+
+
+class _NoPadding(random.Random):
+    def getrandbits(self, k):
+        raise AssertionError("the padding generator was called")
+
+
+def test_embed_loop_output_law_is_exact():
+    """Criterion 01 on the shipped embed loop rather than the formula.
+
+    Every cover block b, every draw u in [0, N) and every payload value r of
+    u's band d is embedded once (a power-of-two class draws no u, so its N
+    values of u only repeat the block), which makes each emitted block
+    carry weight p(b) 2**-d / N. Summed, the weights must equal the product
+    law exactly, and extract must return every scripted payload bit.
+    """
+    model = SourceModel(ABC, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    for n in range(2, 6):
+        cover, payload, draws, weights = [], [], [], []
+        for block in product(ABC.symbols, repeat=n):
+            size = brute_class_size(block)
+            p = math.prod(model.probs[ABC.index(token)] for token in block)
+            for u, (d, _) in enumerate(brute_decode_table(size)):
+                for r in range(1 << d):
+                    cover.extend(block)
+                    payload.extend((r >> i) & 1 for i in reversed(range(d)))
+                    if size & (size - 1):
+                        draws.append((u, size.bit_length()))
+                    weights.append(p / (size << d))
+        delta_rng = _ScriptedDraws(draws)
+        result = stn_embed(cover, payload, n, ABC, delta_rng, _NoPadding(0))
+        assert next(delta_rng.draws, None) is None, n  # every scripted u was drawn
+        assert (result.bits_embedded, result.padding_bits) == (len(payload), 0), n
+        law = {}
+        for j, weight in enumerate(weights):
+            block = result.stego[j * n : (j + 1) * n]
+            law[block] = law.get(block, 0) + weight
+        assert law == block_distribution(model, n), n
+        assert stn_extract(result.stego, n, ABC).bits == tuple(payload), n
 
 
 def test_criterion_02_block_scheme_worked_example():
@@ -156,7 +211,7 @@ def test_criterion_04_zero_error_round_trips():
             == hidden[: result.bits_embedded]
             and len(result.stego) == symbols
             and result.bits_embedded + result.padding_bits
-            == sum(rec.delta for rec in result.trace)
+            == sum(d for _, d, _, _ in result.records)
         )
         failures += not good
     elapsed = time.monotonic() - started
@@ -171,24 +226,22 @@ def test_criterion_04_zero_error_round_trips():
 def test_criterion_05_band_code_bijection_and_uniformity():
     violations = 0
     for value in range(1, 4097):
-        exp = expand(value)
         seen = bytearray(value)
-        for d in exp.levels:
+        for d in expand(value):
             for r in range(1 << d):
-                tau = encode_index(exp, d, r)
-                if seen[tau] or decode_index(exp, tau) != (d, r):
+                tau = encode_index(value, d, r)
+                if seen[tau] or decode_index(value, tau) != (d, r):
                     violations += 1
                 seen[tau] = 1
         if not all(seen):
             violations += 1
     uniform_bad = 0
     for value in range(1, 257):
-        exp = expand(value)
         mass = [Fraction(0)] * value
-        for d in exp.levels:
+        for d in expand(value):
             contribution = Fraction(1 << d, value) * Fraction(1, 1 << d)
             for r in range(1 << d):
-                mass[encode_index(exp, d, r)] += contribution
+                mass[encode_index(value, d, r)] += contribution
         if any(p != Fraction(1, value) for p in mass) or sum(mass) != 1:
             uniform_bad += 1
     ok = violations == 0 and uniform_bad == 0
@@ -201,13 +254,13 @@ def test_criterion_05_band_code_bijection_and_uniformity():
 
 
 def test_criterion_06_expected_payload_bound():
-    assert expected_payload_bits(expand(6)) == Fraction(10, 6)
+    assert expected_payload_bits(6) == Fraction(10, 6)
     worst = math.inf
     bad = 0
     for value in range(1, 1_000_001):
         # margin stays > 3e-5 for N <= 1e6 (tightest at N = 2**19 - 1),
         # far above float(log2) error, so a float comparison is exact enough
-        margin = float(expected_payload_bits(expand(value))) - (math.log2(value) - 2.0)
+        margin = float(expected_payload_bits(value)) - (math.log2(value) - 2.0)
         if margin < worst:
             worst = margin
         if margin < 0:

@@ -8,7 +8,8 @@ from permsteg import (
     Alphabet,
     InvalidAlphabet,
     UnknownSymbol,
-    composition_of,
+    rank_indices,
+    sorted_class_size,
     symbol_alphabet,
 )
 
@@ -63,31 +64,15 @@ class TestAlphabet:
 
 
 class TestComposition:
-    def test_worked_block(self):
-        comp = composition_of(("b", "a", "c"), ABC)
-        assert comp.counts == ((0, 1), (1, 1), (2, 1))
-        assert comp.n == 3
-
-    def test_single_letter_block(self):
-        comp = composition_of(("a", "a", "a"), ABC)
-        assert comp.counts == ((0, 3),)  # absent symbols are not listed
-        assert comp.n == 3
-
-    def test_direct_count(self):
-        ab = Alphabet(["a", "b"])
-        comp = composition_of(("a", "a", "b", "b"), ab)
-        assert comp.counts == ((0, 2), (1, 2))
+    """A block's letter counts name its class; the word API keys it by the sorted block."""
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
-            composition_of(("a", "z"), ABC)
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            composition_of((), ABC)
+            ABC.index("z")
 
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12), st.integers())
     def test_permutation_invariance(self, block, seed):
         shuffled = block[:]
         random.Random(seed).shuffle(shuffled)
-        assert composition_of(block, ABC) == composition_of(shuffled, ABC)
+        assert sorted(block) == sorted(shuffled)
+        assert sorted_class_size(sorted(block)) == rank_indices(shuffled)[1]

@@ -46,3 +46,11 @@ def test_import_loads_neither_scipy_nor_numpy(name):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("permsteg")
+    exported = package.__all__
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    missing = [name for name in exported if not hasattr(package, name)]
+    assert not missing, f"permsteg.__all__ names missing attributes: {missing}"
