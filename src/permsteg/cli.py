@@ -15,9 +15,11 @@ of an ``error: ...`` line.
 batches, the codec works a piece of whole blocks at a time, and stego
 tokens are written per piece, so memory does not grow with the file's
 length. ``extract`` keeps its recovered bits one byte per bit, and with
-``--frame-length`` only the frame's bits. Both write ``--out`` atomically:
-to a temporary file beside it, renamed into place only on success. A
-failure leaves no temporary file and leaves an existing ``--out`` as it was.
+``--frame-length`` only the frame's bits.
+
+Every output file (``--out`` and ``--report``) is written atomically: to a
+temporary file beside it, renamed into place only on success. A failure
+leaves no temporary file and leaves an existing output file as it was.
 
 A payload longer than the cover can carry is embedded only in part. Without
 ``--frame-length`` the embed still exits 0 and ``bits_embedded`` in the
@@ -183,7 +185,8 @@ def _emit(summary: dict) -> None:
 def _write_report(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with _atomic_out(path) as out:
+            out.write(text + "\n")
     else:
         click.echo(text)
 
@@ -330,8 +333,8 @@ def generate(model_path, count, seed_source, out_path) -> None:
     if count < 0:
         raise ValueError("--count must be >= 0")
     cover = draw_cover(model, count, random.Random(seed_source))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        _write_tokens(fh, cover)
+    with _atomic_out(out_path) as out:
+        _write_tokens(out, cover)
     _emit({
         "count": count,
         "model_digest": model_digest(model),

@@ -38,8 +38,9 @@ stream order, and its piece is not yielded) and splits it into blocks with
 a memo; any other block is sorted and its class size N taken in one
 run-length pass. It then draws u uniform on [0, N) from the delta generator
 as ``randrange(N)`` would (nothing for a power of two), takes d as the band
-holding u and the index as offset(d) + r, all as int arithmetic on N; only
-a ``force_delta`` draw goes through ``payload.sample_delta``. Extract, like
+holding u and the index as offset(d) + r, all as int arithmetic on N (only
+a ``force_delta`` draw goes through ``payload.sample_delta``), and unranks
+the word at that index unless the class's member table holds it. Extract, like
 ``EmbedResult.consumed_bits``, appends each block's payload value to a
 window int and turns each window of 64 or more bits into bit values in C.
 
@@ -69,7 +70,6 @@ from itertools import islice, repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import ranking
 from .alphabet import Alphabet
 # bits_from_int, encode_index and expand go unused here (the first two are
 # inlined below); bench/tracing.py wraps them by name in this module.
@@ -78,16 +78,14 @@ from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import decode_index, encode_index, expand, sample_delta
 from .ranking import rank_indices, sorted_class_size, unrank_indices
 
-# Embed builds a full member table for a class only once it has repeated
-# enough to amortize the enumeration (hits scale with the class size), and
-# extract remembers the decoding of each distinct block of a small class, so
-# streams with recurring small classes trade memory for speed while one-off
-# classes (large alphabets) stay on the rank/unrank path. Embed keeps a class
-# entry only for a class small enough for a member table, in a map from its
-# sorted key and a memo from each of its raw blocks; those two maps and
-# extract's decode map are capped at _MEMBER_TABLE_BUDGET entries.
+# Embed keeps a member table for each class of at most _MEMBER_TABLE_MAX_CLASS
+# words, filled on first use: a block unranks its word only if no earlier block
+# emitted it, and stores it for later ones. Extract keeps the decoding of each
+# distinct block of such a class. Larger classes stay on the rank/unrank path.
+# Embed's class map (from a sorted key) and memo (from a raw block), extract's
+# decode map and the words in embed's member tables are each capped at
+# _MEMBER_TABLE_BUDGET.
 _MEMBER_TABLE_MAX_CLASS = 2048
-_MEMBER_TABLE_HIT_FACTOR = 24
 _MEMBER_TABLE_BUDGET = 1 << 21
 # Symbols per piece of the *_pieces functions (whole blocks, or one block
 # when a block is longer). Larger pieces raise the CLI's peak memory (by
@@ -359,8 +357,8 @@ def _stn_embed(
     feed = _BitFeed(hidden, padding_rng)
     read_int = feed.read_int
     getrandbits = delta_rng.getrandbits
-    # [size, draw width or 0 for a power of two, hits or -1 once the member
-    # table is decided, member table, sorted key] per class; see above
+    # [size, draw width or 0 for a power of two, member table or None above
+    # _MEMBER_TABLE_MAX_CLASS, sorted key] per class; see above
     classes: dict[tuple[str, ...], list] = {}
     memo: dict[tuple[str, ...], list] = {}
     budget = _MEMBER_TABLE_BUDGET
@@ -382,23 +380,13 @@ def _stn_embed(
                 size = sorted_class_size(key)
                 width = size.bit_length() if size & (size - 1) else 0
                 if size > _MEMBER_TABLE_MAX_CLASS:
-                    entry = [size, width, -1, None, key]
+                    entry = [size, width, None, key]
                 else:
                     key = tuple(key)
-                    entry = classes.get(key) or [size, width, 0, None, key]
+                    entry = classes.get(key) or [size, width, {}, key]
                     if len(memo) < _MEMBER_TABLE_BUDGET:  # memo >= classes, so this caps both
                         classes[key] = memo[block] = entry
-            size, width, hits, members, key = entry
-            if hits >= 0:
-                entry[2] = hits = hits + 1
-                if hits >= 2 and hits * _MEMBER_TABLE_HIT_FACTOR >= size:
-                    entry[2] = -1
-                    if size <= budget:
-                        # via the ranking module, so that calls by this module's
-                        # name stay one per block that misses the member tables
-                        member = ranking.unrank_indices
-                        entry[3] = members = [tuple(member(key, t, size)) for t in range(size)]
-                        budget -= size
+            size, width, members, key = entry
             if forced:
                 d = sample_delta(size, delta_rng, force_delta)
             else:
@@ -410,10 +398,17 @@ def _stn_embed(
                 d = (size ^ u).bit_length() - 1
             r = read_int(d)
             tau = size >> d >> 1 << d << 1 | r
-            if members is not None:
-                out.extend(members[tau])
-            else:
+            if members is None:
                 out.extend(unrank_indices(key, tau, size))
+            else:
+                try:
+                    word = members[tau]
+                except KeyError:
+                    word = tuple(unrank_indices(key, tau, size))
+                    if budget:
+                        members[tau] = word
+                        budget -= 1
+                out.extend(word)
             records.append((size, d, r, tau))
         out.extend(piece[len(piece) - len(piece) % n :])  # trailing partial block, untouched
         yield EmbedResult(

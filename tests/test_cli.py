@@ -467,3 +467,47 @@ class TestRatesSweep:
                 "--block-sizes", value,
             ])
             assert result.exit_code == 4
+
+
+class _FailingFile:
+    """A file that writes half of its first write, then raises OSError."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("args", [
+        ["generate", "--model", "{model}", "--count", "50", "--out", "{out}"],
+        ["analyze", "--model", "{model}", "--block-size", "2", "--samples", "200",
+         "--report", "{out}"],
+        ["rates", "--model", "{model}", "--block-sizes", "2", "--symbols", "400",
+         "--report", "{out}"],
+    ], ids=["generate", "analyze", "rates"])
+    def test_write_error_leaves_existing_output_untouched(self, runner, workdir, monkeypatch,
+                                                         args):
+        out = workdir / "out.txt"
+        out.write_bytes(b"earlier output\n")
+        before = sorted(p.name for p in workdir.iterdir())
+
+        def failing_open(*open_args, **open_kwargs):
+            return _FailingFile(open(*open_args, **open_kwargs))
+
+        monkeypatch.setattr(permsteg.cli, "open", failing_open, raising=False)
+        model = str(workdir / "ab_model.txt")
+        result = runner.invoke(main, [arg.format(model=model, out=out) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert "error: disk full" in result.output
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before

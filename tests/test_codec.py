@@ -515,7 +515,7 @@ class TestEmbedAgainstOracles:
     def _embed_with_caps(hidden, cover, alphabet, n, cap):
         """Joined pieces of an embed, checking after each piece that embed's
         class map and raw-block memo hold at most ``cap`` entries, and its
-        member tables (an entry's fourth item) at most ``cap`` words."""
+        member tables (an entry's third item) at most ``cap`` words."""
         pieces, sizes = [], []
         gen = stn_embed_pieces(cover, hidden, n, alphabet, *rngs(5, 6))
         for piece in gen:
@@ -523,7 +523,7 @@ class TestEmbedAgainstOracles:
             state = gen.gi_frame.f_locals
             sizes.append((len(state["classes"]), len(state["memo"])))
             assert max(sizes[-1]) <= cap
-            assert sum(len(entry[3] or ()) for entry in state["classes"].values()) <= cap
+            assert sum(len(entry[2] or ()) for entry in state["classes"].values()) <= cap
         stego = sum((piece.stego for piece in pieces), ())
         return stego, sum((piece.records for piece in pieces), ()), sizes[-1]
 

@@ -5,9 +5,11 @@
 literals, so the benchmark code is neither imported nor run here. The
 benchmark derives its member-table hit ratio from the unrank call count,
 so embed calls unrank once per block that misses the member tables, and
-not at all for a block that hits them. Extract keeps no member tables: it
-ranks each distinct block of a small class once and looks up its decoding
-afterwards, and ranks every block of a larger class.
+not at all for a block that hits them. The tables fill on first use, so a
+miss is a word of a small class that the call has not emitted before, or
+any block of a larger class. Extract keeps no member tables: it ranks each
+distinct block of a small class once and looks up its decoding afterwards,
+and ranks every block of a larger class.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import permsteg.codec
+import permsteg.ranking
 from permsteg import stn_embed, stn_extract, symbol_alphabet
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -43,41 +46,70 @@ def test_traced_names_resolve(module, table):
     assert not missing, f"{module} lacks {missing}"
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, modules=(permsteg.codec,)):
+    """Count calls to ``name`` through each module's attribute of that name."""
     calls = []
-    original = getattr(permsteg.codec, name)
+    for module in modules:
+        original = getattr(module, name)
 
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        def wrapper(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(permsteg.codec, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-def _round_trip_calls(monkeypatch, k, n, blocks):
+def _round_trip_calls(monkeypatch, k, n, symbols, zipf=False):
+    """Unrank and rank calls of one embed and extract, with what bounds them.
+
+    Unranks are counted whether embed calls them by the codec's name or the
+    ranking module's. Returns those two counts, the number of distinct stego
+    blocks, and the number of unranks that filling each member table on first
+    use allows: one per distinct (sorted block, tau) of a class within the
+    member-table limit, and one per block of a larger class.
+    """
     alphabet = symbol_alphabet(k)
     rng = random.Random(k * 1000 + n)
-    cover = [rng.choice(alphabet.symbols) for _ in range(n * blocks)]
-    hidden = [rng.getrandbits(1) for _ in range(n * blocks)]
-    unrank_calls = _counting(monkeypatch, "unrank_indices")
+    if zipf:
+        weights = [1 / i for i in range(1, k + 1)]
+        cover = rng.choices(alphabet.symbols, weights=weights, k=symbols)
+    else:
+        cover = [rng.choice(alphabet.symbols) for _ in range(symbols)]
+    hidden = [rng.getrandbits(1) for _ in range(symbols)]
+    unrank_calls = _counting(monkeypatch, "unrank_indices", (permsteg.codec, permsteg.ranking))
     rank_calls = _counting(monkeypatch, "rank_indices")
     embedded = stn_embed(cover, hidden, n, alphabet, random.Random(1), random.Random(2))
-    assert embedded.blocks == blocks
+    assert embedded.blocks == symbols // n
     assert not rank_calls
     stn_extract(embedded.stego, n, alphabet)
-    distinct = len(set(zip(*[iter(embedded.stego)] * n)))
-    return len(unrank_calls), len(rank_calls), distinct
+    blocks = list(zip(*[iter(embedded.stego)] * n))
+    words, large = set(), 0
+    for block, (size, _, _, tau) in zip(blocks, embedded.records):
+        if size > permsteg.codec._MEMBER_TABLE_MAX_CLASS:
+            large += 1
+        else:
+            words.add((tuple(sorted(block)), tau))
+    return len(unrank_calls), len(rank_calls), len(set(blocks)), len(words) + large
 
 
 def test_one_rank_and_unrank_call_per_block_without_member_tables(monkeypatch):
-    # uniform k=256, n=16: classes almost never recur, so no tables are built
-    assert _round_trip_calls(monkeypatch, 256, 16, 200)[:2] == (200, 200)
+    # uniform k=256, n=16: classes almost never recur, so no tables are filled
+    assert _round_trip_calls(monkeypatch, 256, 16, 200 * 16)[:2] == (200, 200)
 
 
 def test_member_table_hits_skip_rank_and_unrank(monkeypatch):
     # k=3, n=4: at most 15 classes of at most 12 members, recurring often
-    unranks, ranks, distinct = _round_trip_calls(monkeypatch, 3, 4, 600)
+    unranks, ranks, distinct, words = _round_trip_calls(monkeypatch, 3, 4, 600 * 4)
     assert 0 < unranks < 600
     assert 0 < ranks < 600
     assert ranks == distinct
+    assert unranks == words
+
+
+def test_embed_unranks_each_emitted_word_once(monkeypatch):
+    # a fresh 10^4-symbol Zipf k=6, n=7 session, the shape of the zero-error
+    # battery: tables fill on first use, so embed never unranks a word it
+    # does not emit, nor one it already holds
+    unranks, _, _, words = _round_trip_calls(monkeypatch, 6, 7, 10_000, zipf=True)
+    assert unranks == words <= 10_000 // 7
