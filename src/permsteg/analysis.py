@@ -151,7 +151,6 @@ class RateBound:
 class RateReport:
     """Measured hiding rate with its theoretical context."""
 
-    scheme: str
     n: int
     empirical_rate: float
     std_error: float
@@ -355,7 +354,6 @@ def empirical_rate(
     cover_symbols: int,
     model: SourceModel,
     n: int,
-    scheme: str = "stn",
     bound: RateBound | None = None,
     seeds: dict[str, int] | None = None,
 ) -> RateReport:
@@ -376,7 +374,6 @@ def empirical_rate(
     variance = sum((delta - mean_bits) ** 2 for delta in deltas) / max(blocks - 1, 1)
     std_error = math.sqrt(variance / blocks) / n
     return RateReport(
-        scheme=scheme,
         n=n,
         empirical_rate=rate,
         std_error=std_error,
@@ -419,6 +416,4 @@ def measure_stn_rate(
         "delta": seed_delta,
         "padding": seed_padding,
     }
-    return empirical_rate(
-        result, cover_symbols, model, n, scheme="stn", bound=bound, seeds=seeds
-    )
+    return empirical_rate(result, cover_symbols, model, n, bound=bound, seeds=seeds)

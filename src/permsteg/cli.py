@@ -55,27 +55,8 @@ from .analysis import (
     st2_rate,
 )
 from .bits import bits_to_bytes, int_from_bits, iter_bits
-from .codec import (
-    frame_payload,
-    st2_embed_pieces,
-    st2_extract_pieces,
-    stn_embed_pieces,
-    stn_extract_pieces,
-    unframe_bits,
-)
-from .errors import (
-    DegenerateCells,
-    EmptyTrace,
-    InvalidAlphabet,
-    InvalidBlockLength,
-    InvalidDelta,
-    InvalidModel,
-    NonPositive,
-    PayloadOutOfRange,
-    PermstegError,
-    SpaceTooLarge,
-    UnknownSymbol,
-)
+from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces, unframe_bits
+from .errors import InvalidBlockLength, PermstegError, UnknownSymbol
 from .sources import draw_cover, load_model
 
 # The benchmark's tracer (bench/tracing.py) wraps these names in this module.
@@ -89,19 +70,6 @@ EXIT_CONFIG = 4
 
 # Lines of a token file are read in batches of about this many bytes.
 _READ_BATCH_BYTES = 1 << 16
-
-_CONFIG_ERRORS = (
-    InvalidAlphabet,
-    InvalidModel,
-    InvalidBlockLength,
-    InvalidDelta,
-    PayloadOutOfRange,
-    NonPositive,
-    SpaceTooLarge,
-    DegenerateCells,
-    EmptyTrace,
-    ValueError,
-)
 
 
 def _fail(code: int, message: str) -> None:
@@ -118,12 +86,10 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except UnknownSymbol as exc:
             _fail(EXIT_UNKNOWN_SYMBOL, str(exc))
-        except _CONFIG_ERRORS as exc:
+        except (PermstegError, ValueError) as exc:
             _fail(EXIT_CONFIG, str(exc))
         except OSError as exc:
             _fail(EXIT_IO, str(exc))
-        except PermstegError as exc:  # anything else from the package
-            _fail(EXIT_CONFIG, str(exc))
 
     return wrapper
 
@@ -204,7 +170,7 @@ def main() -> None:
 @click.option("--alphabet", "alphabet_path", required=True, help="Alphabet file (one token per line).")
 @click.option("--scheme", type=click.Choice(["st2", "stn"]), default="stn", show_default=True)
 @click.option("--block-size", "-n", "block_size", type=int, default=2, show_default=True,
-              help="Block length for the stn scheme (ignored by st2).")
+              help="Block length for the stn scheme (st2 fixes it at 2).")
 @click.option("--cover", "cover_path", required=True, help="Cover stream file.")
 @click.option("--hidden", "hidden_path", required=True, help="Hidden payload file (raw bytes).")
 @click.option("--out", "out_path", required=True, help="Stego stream output file.")
@@ -214,11 +180,9 @@ def main() -> None:
               help="Seed for padding bits after payload exhaustion.")
 @click.option("--frame-length", is_flag=True,
               help="Prefix the payload with its 32-bit length (encrypt framed payloads!).")
-@click.option("--force-delta", type=int, default=None,
-              help="Test hook: pin every payload-length draw to this value.")
 @_guarded
 def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
-          seed_delta, seed_padding, frame_length, force_delta) -> None:
+          seed_delta, seed_padding, frame_length) -> None:
     """Embed a hidden payload into a cover stream."""
     alphabet = Alphabet.from_file(alphabet_path)
     with open(cover_path, "r", encoding="utf-8") as cover_fh:
@@ -229,20 +193,9 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
         cover = _TokenStream(cover_fh)
         hidden = iter_bits(payload)
         if scheme == "st2":
-            if force_delta is not None:
-                raise ValueError("--force-delta applies to the stn scheme only")
-            pieces = st2_embed_pieces(cover, hidden, alphabet, random.Random(seed_padding))
             block_size = 2
-        else:
-            pieces = stn_embed_pieces(
-                cover,
-                hidden,
-                block_size,
-                alphabet,
-                random.Random(seed_delta),
-                random.Random(seed_padding),
-                force_delta=force_delta,
-            )
+        pieces = stn_embed_pieces(cover, hidden, block_size, alphabet,
+                                  random.Random(seed_delta), random.Random(seed_padding))
         blocks = bits_embedded = padding_bits = 0
         with _atomic_out(out_path) as out:
             for piece in pieces:
@@ -266,8 +219,6 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
         "bits_per_block": bits_embedded / blocks if blocks else 0.0,
         "seeds": {"delta": seed_delta, "padding": seed_padding},
     }
-    if force_delta is not None:
-        summary["force_delta"] = force_delta
     _emit(summary)
 
 
@@ -275,7 +226,7 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
 @click.option("--alphabet", "alphabet_path", required=True, help="Alphabet file.")
 @click.option("--scheme", type=click.Choice(["st2", "stn"]), default="stn", show_default=True)
 @click.option("--block-size", "-n", "block_size", type=int, default=2, show_default=True,
-              help="Block length for the stn scheme (ignored by st2).")
+              help="Block length for the stn scheme (st2 fixes it at 2).")
 @click.option("--stego", "stego_path", required=True, help="Stego stream file to decode.")
 @click.option("--out", "out_path", required=True, help="Recovered payload output file (raw bytes).")
 @click.option("--frame-length", is_flag=True,
@@ -291,10 +242,8 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
     with open(stego_path, "r", encoding="utf-8") as fh:
         stego = _TokenStream(fh)
         if scheme == "st2":
-            pieces = st2_extract_pieces(stego, alphabet)
-        else:
-            pieces = stn_extract_pieces(stego, block_size, alphabet)
-        for piece in pieces:
+            block_size = 2
+        for piece in stn_extract_pieces(stego, block_size, alphabet):
             recovered += len(piece.bits)
             if frame_bits is None or len(bits) < frame_bits:
                 bits.extend(piece.bits)

@@ -1,24 +1,25 @@
 """Embed/extract state machines over symbol streams.
 
-Two schemes share one output contract: the stego stream has exactly the
-same length as the cover stream and, block by block, the same letter
-counts, so under an i.i.d. cover source its distribution is unchanged.
+The stego stream has exactly the same length as the cover stream and, block
+by block, the same letter counts, so under an i.i.d. cover source its
+distribution is unchanged.
 
-* Pair scheme (``st2_*``): the stream is split into pairs. A pair of equal
-  letters passes through; a pair of distinct letters is re-emitted in
-  ascending canonical order for payload bit 0 and descending for bit 1.
-  One trailing unpaired symbol passes through unchanged.
+The stream is split into blocks of n symbols (``stn_*``). A block's
+permutation class is named by the block's letters in sorted order, and its
+size is the multinomial of their counts. For each block the codec draws a
+payload length d with the band distribution of the class size (see
+:mod:`permsteg.payload`), reads d payload bits MSB-first as a value r, and
+emits the classmate whose rank is the band index for (d, r). The receiver
+recomputes the class from the received block (letter counts are preserved),
+ranks it, and inverts the band code; no shared randomness is involved in
+decoding. A trailing partial block passes through unchanged.
 
-* Block scheme (``stn_*``): the stream is split into blocks of n symbols.
-  A block's permutation class is named by the block's letters in sorted
-  order, and its size is the multinomial of their counts. For each block
-  the codec draws a payload length d with the band distribution of the
-  class size (see :mod:`permsteg.payload`), reads d payload bits
-  MSB-first as a value r, and emits the classmate whose rank is the band
-  index for (d, r). The receiver recomputes the class from the received
-  block (letter counts are preserved), ranks it, and inverts the band
-  code; no shared randomness is involved in decoding. A trailing partial
-  block passes through unchanged.
+The pair scheme (``st2_*``) is the block scheme at n = 2. A pair's class
+has 1 word (equal letters) or 2, both powers of two, so no payload length is
+ever drawn: an equal pair passes through, and a distinct pair carries one
+bit, re-emitted in ascending canonical order for 0 and descending for 1.
+The generators run pairs through a loop of their own that compares tokens as
+strings (canonical order) instead of ranking them.
 
 When the caller's payload runs out mid-stream, further payload bits are
 drawn from a dedicated padding generator and counted separately, which
@@ -31,32 +32,32 @@ count as 0 and 1) raises ValueError when its window is pulled, which can be
 up to 63 bits before the block that would read it, and up to 63 bits past
 the last one read may have been taken from the caller's iterator.
 
-The block scheme takes each piece (see below) as one list, checks all its
-tokens at once (an unknown one raises UnknownSymbol naming the first in
-stream order, and its piece is not yielded) and splits it into blocks with
-``zip``. Embed maps each raw block of a small class to its class entry in
-a memo; any other block is sorted and its class size N taken in one
+The codec takes each piece (see below) as one list, checks all its tokens
+at once (an unknown one raises UnknownSymbol naming the first in stream
+order, and its piece is not yielded) and splits it into blocks with
+``zip``. Embed maps each raw block of a small class to its class entry in a
+memo; any other block is sorted and its class size N taken in one
 run-length pass. It then draws u uniform on [0, N) from the delta generator
 as ``randrange(N)`` would (nothing for a power of two), takes d as the band
-holding u and the index as offset(d) + r, all as int arithmetic on N (only
-a ``force_delta`` draw goes through ``payload.sample_delta``), and unranks
-the word at that index unless the class's member table holds it. Extract, like
-``EmbedResult.consumed_bits``, appends each block's payload value to a
-window int and turns each window of 64 or more bits into bit values in C.
+holding u and the index as offset(d) + r, all as int arithmetic on N, and
+unranks the word at that index unless the class's member table holds it.
+Extract, like ``EmbedResult.consumed_bits``, appends each block's payload
+value to a window int and turns each window of 64 or more bits into bit
+values in C.
 
 Results keep one plain tuple of ints per block (``records``) rather than one
-record object per block; the pair scheme and extract's decode map reuse one
+record object per block; the pair loop and extract's decode map reuse one
 tuple for every block with the same record. ``trace`` builds the
 ``BlockTrace``/``ExtractTrace`` records from them when it is read.
 
-Each direction of each scheme is one generator that keeps one state for the
-whole stream (bit feed, random generators, class table, decode map) and
-yields an ``EmbedResult`` or ``ExtractResult`` per piece of whole blocks;
-only the last piece holds a trailing partial block. The ``*_pieces``
-functions yield pieces of at most ``_PIECE_SYMBOLS`` symbols, and the caches
-are capped in entry count, so a caller that consumes the pieces one by one,
-as the CLI does, holds memory independent of stream length. ``st2_embed``,
-``stn_embed`` and the extract functions run the same generators with the
+Each direction is one generator that keeps one state for the whole stream
+(bit feed, random generators, class table, decode map) and yields an
+``EmbedResult`` or ``ExtractResult`` per piece of whole blocks; only the
+last piece holds a trailing partial block. The ``*_pieces`` functions yield
+pieces of at most ``_PIECE_SYMBOLS`` symbols, and the caches are capped in
+entry count, so a caller that consumes the pieces one by one, as the CLI
+does, holds memory independent of stream length. ``stn_embed``,
+``stn_extract`` and their ``st2_*`` forms run the same generators with the
 whole stream as one piece, so a stream's pieces joined equal its
 whole-stream result.
 """
@@ -66,13 +67,13 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import add
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
-# bits_from_int, encode_index and expand go unused here (the first two are
-# inlined below); bench/tracing.py wraps them by name in this module.
+# bits_from_int, encode_index, expand and sample_delta go unused here (the
+# band code and bit packing are inlined below); bench/tracing.py wraps them
+# by name in this module.
 from .bits import BIT_DIGITS, DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import decode_index, encode_index, expand, sample_delta
@@ -102,17 +103,14 @@ class BlockTrace(NamedTuple):
     ``class_size`` is the number of words with the block's letter counts,
     ``delta`` the number of payload bits the block carried, ``payload``
     their MSB-first integer value, and ``index`` the emitted word's rank
-    within its permutation class. ``forced`` marks a test-hook override of
-    the payload-length draw. The codec keeps the first four fields as a
-    plain tuple and builds these records only when ``EmbedResult.trace`` is
-    read.
+    within its permutation class. The codec keeps these fields as a plain
+    tuple and builds the records only when ``EmbedResult.trace`` is read.
     """
 
     class_size: int
     delta: int
     payload: int
     index: int
-    forced: bool = False
 
 
 class ExtractTrace(NamedTuple):
@@ -124,7 +122,7 @@ class ExtractTrace(NamedTuple):
 
 
 # A pair carries no bit (equal letters, class size 1) or one bit b, which is
-# also its index in a class of 2; so each side of the pair scheme has three
+# also its index in a class of 2; so each side of the pair loop has three
 # possible records, indexed here by 0 (no bit) and 1 + b.
 _PAIR_EMBED_RECORD = ((1, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 1))
 _PAIR_EXTRACT_RECORD = ((0, 0, 0), (1, 0, 0), (1, 1, 1))
@@ -135,21 +133,18 @@ class EmbedResult:
     """One embed call or piece: stego symbols, bit counts and per-block records.
 
     ``records`` holds one ``(class_size, delta, payload, index)`` tuple per
-    full block; ``forced`` says whether the call pinned the payload length.
-    ``trace``, ``blocks`` and ``consumed_bits()`` are derived from them on
-    request.
+    full block; ``trace``, ``blocks`` and ``consumed_bits()`` are derived
+    from them on request.
     """
 
     stego: tuple[str, ...]
     bits_embedded: int
     padding_bits: int
     records: tuple[tuple[int, int, int, int], ...]
-    forced: bool = False
 
     @property
     def trace(self) -> tuple[BlockTrace, ...]:
-        # each record with the call's forced flag appended, made a BlockTrace
-        return tuple(map(BlockTrace._make, map(add, self.records, repeat((self.forced,)))))
+        return tuple(map(BlockTrace._make, self.records))
 
     @property
     def blocks(self) -> int:
@@ -266,80 +261,6 @@ def _require_codec_alphabet(alphabet: Alphabet) -> None:
         raise InvalidAlphabet("codec use requires an alphabet of at least 2 symbols")
 
 
-def _st2_embed(
-    piece_symbols: int,
-    cover: Iterable[str],
-    hidden: Iterable[int],
-    alphabet: Alphabet,
-    padding_rng: random.Random,
-) -> Iterator[EmbedResult]:
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    symbols = alphabet.symbols
-    feed = _BitFeed(hidden, padding_rng)
-    read_int = feed.read_int
-    piece_symbols = 2 * max(1, piece_symbols // 2)
-    stream = iter(cover)
-    done = False
-    while not done:
-        chunk = list(islice(stream, piece_symbols))
-        done = len(chunk) < piece_symbols
-        genuine, padding = feed.genuine, feed.padding
-        out: list[str] = []
-        records: list[tuple[int, int, int, int]] = []
-        pairs = iter(chunk)
-        for x, y in zip(pairs, pairs):
-            try:
-                a, i = index[x], index[y]
-            except KeyError as exc:
-                raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
-            if a == i:
-                out.append(symbols[a])
-                out.append(symbols[a])
-                records.append(_PAIR_EMBED_RECORD[0])
-            else:
-                bit = read_int(1)
-                lo, hi = (a, i) if a < i else (i, a)
-                first, second = (lo, hi) if bit == 0 else (hi, lo)
-                out.append(symbols[first])
-                out.append(symbols[second])
-                records.append(_PAIR_EMBED_RECORD[1 + bit])
-        if len(chunk) % 2:
-            _validate_tokens(chunk[-1:], index)
-            out.append(chunk[-1])  # trailing unpaired symbol, untouched
-        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records))
-
-
-def _st2_extract(
-    piece_symbols: int, stego: Iterable[str], alphabet: Alphabet
-) -> Iterator[ExtractResult]:
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
-    piece_symbols = 2 * max(1, piece_symbols // 2)
-    stream = iter(stego)
-    done = False
-    while not done:
-        chunk = list(islice(stream, piece_symbols))
-        done = len(chunk) < piece_symbols
-        bits: list[int] = []
-        records: list[tuple[int, int, int]] = []
-        pairs = iter(chunk)
-        for x, y in zip(pairs, pairs):
-            try:
-                a, i = index[x], index[y]
-            except KeyError as exc:
-                raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
-            if a == i:
-                records.append(_PAIR_EXTRACT_RECORD[0])
-            else:
-                bit = 0 if a < i else 1
-                bits.append(bit)
-                records.append(_PAIR_EXTRACT_RECORD[1 + bit])
-        if len(chunk) % 2:
-            _validate_tokens(chunk[-1:], index)  # trailing unpaired symbol yields nothing
-        yield ExtractResult(tuple(bits), tuple(records))
-
-
 def _stn_embed(
     piece_symbols: int,
     cover: Iterable[str],
@@ -348,7 +269,6 @@ def _stn_embed(
     alphabet: Alphabet,
     delta_rng: random.Random,
     padding_rng: random.Random,
-    force_delta: int | None,
 ) -> Iterator[EmbedResult]:
     if n < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {n}")
@@ -362,7 +282,6 @@ def _stn_embed(
     classes: dict[tuple[str, ...], list] = {}
     memo: dict[tuple[str, ...], list] = {}
     budget = _MEMBER_TABLE_BUDGET
-    forced = force_delta is not None
     piece_size = n * max(1, piece_symbols // n)
     stream = iter(cover)
     done = False
@@ -373,47 +292,61 @@ def _stn_embed(
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
         records: list[tuple[int, int, int, int]] = []
-        for block in zip(*[iter(piece)] * n):
-            entry = memo.get(block)
-            if entry is None:
-                key = sorted(block)
-                size = sorted_class_size(key)
-                width = size.bit_length() if size & (size - 1) else 0
-                if size > _MEMBER_TABLE_MAX_CLASS:
-                    entry = [size, width, None, key]
+        if n == 2:
+            # a pair class has 1 or 2 words, so no payload length is drawn
+            pairs = iter(piece)
+            for x, y in zip(pairs, pairs):
+                if x == y:
+                    out.append(x)
+                    out.append(y)
+                    records.append(_PAIR_EMBED_RECORD[0])
                 else:
-                    key = tuple(key)
-                    entry = classes.get(key) or [size, width, {}, key]
-                    if len(memo) < _MEMBER_TABLE_BUDGET:  # memo >= classes, so this caps both
-                        classes[key] = memo[block] = entry
-            size, width, members, key = entry
-            if forced:
-                d = sample_delta(size, delta_rng, force_delta)
-            else:
+                    bit = read_int(1)
+                    if bit == (x > y):  # ascending for 0, descending for 1
+                        out.append(x)
+                        out.append(y)
+                    else:
+                        out.append(y)
+                        out.append(x)
+                    records.append(_PAIR_EMBED_RECORD[1 + bit])
+        else:
+            for block in zip(*[iter(piece)] * n):
+                entry = memo.get(block)
+                if entry is None:
+                    key = sorted(block)
+                    size = sorted_class_size(key)
+                    width = size.bit_length() if size & (size - 1) else 0
+                    if size > _MEMBER_TABLE_MAX_CLASS:
+                        entry = [size, width, None, key]
+                    else:
+                        key = tuple(key)
+                        entry = classes.get(key) or [size, width, {}, key]
+                        # memo >= classes, so this caps both
+                        if len(memo) < _MEMBER_TABLE_BUDGET:
+                            classes[key] = memo[block] = entry
+                size, width, members, key = entry
                 # u uniform on [0, N) by randrange(N)'s own rejection loop, and
                 # d the band holding u; a power of two draws nothing
                 u = getrandbits(width) if width else 0
                 while u >= size:
                     u = getrandbits(width)
                 d = (size ^ u).bit_length() - 1
-            r = read_int(d)
-            tau = size >> d >> 1 << d << 1 | r
-            if members is None:
-                out.extend(unrank_indices(key, tau, size))
-            else:
-                try:
-                    word = members[tau]
-                except KeyError:
-                    word = tuple(unrank_indices(key, tau, size))
-                    if budget:
-                        members[tau] = word
-                        budget -= 1
-                out.extend(word)
-            records.append((size, d, r, tau))
+                r = read_int(d)
+                tau = size >> d >> 1 << d << 1 | r
+                if members is None:
+                    out.extend(unrank_indices(key, tau, size))
+                else:
+                    try:
+                        word = members[tau]
+                    except KeyError:
+                        word = tuple(unrank_indices(key, tau, size))
+                        if budget:
+                            members[tau] = word
+                            budget -= 1
+                    out.extend(word)
+                records.append((size, d, r, tau))
         out.extend(piece[len(piece) - len(piece) % n :])  # trailing partial block, untouched
-        yield EmbedResult(
-            tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records), forced
-        )
+        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records))
 
 
 def _stn_extract(
@@ -433,23 +366,33 @@ def _stn_extract(
         _validate_tokens(piece, index)  # a trailing partial block yields nothing
         bits = bytearray()
         records: list[tuple[int, int, int]] = []
-        window = 1  # a leading 1, then the block values not yet in ``bits``
-        for block in zip(*[iter(piece)] * n):
-            rec = decoded.get(block)
-            if rec is None:
-                tau, size = rank_indices(block)
-                d, r = decode_index(size, tau)
-                rec = (d, r, tau)
-                if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
-                    decoded[block] = rec
-            else:
-                d, r, _ = rec
-            records.append(rec)
-            window = (window << d) | r
-            if window >> _WINDOW_BITS:
-                bits += bin(window)[3:].encode().translate(DIGIT_BITS)
-                window = 1
-        bits += bin(window)[3:].encode().translate(DIGIT_BITS)
+        if n == 2:
+            pairs = iter(piece)
+            for x, y in zip(pairs, pairs):
+                if x == y:
+                    records.append(_PAIR_EXTRACT_RECORD[0])
+                else:
+                    bit = x > y
+                    bits.append(bit)
+                    records.append(_PAIR_EXTRACT_RECORD[1 + bit])
+        else:
+            window = 1  # a leading 1, then the block values not yet in ``bits``
+            for block in zip(*[iter(piece)] * n):
+                rec = decoded.get(block)
+                if rec is None:
+                    tau, size = rank_indices(block)
+                    d, r = decode_index(size, tau)
+                    rec = (d, r, tau)
+                    if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
+                        decoded[block] = rec
+                else:
+                    d, r, _ = rec
+                records.append(rec)
+                window = (window << d) | r
+                if window >> _WINDOW_BITS:
+                    bits += bin(window)[3:].encode().translate(DIGIT_BITS)
+                    window = 1
+            bits += bin(window)[3:].encode().translate(DIGIT_BITS)
         yield ExtractResult(tuple(bits), tuple(records))
 
 
@@ -459,30 +402,13 @@ def st2_embed(
     alphabet: Alphabet,
     padding_rng: random.Random,
 ) -> EmbedResult:
-    """Pair-based embedding: equal pairs pass, distinct pairs carry one bit."""
-    (whole,) = _st2_embed(_WHOLE_STREAM, cover, hidden, alphabet, padding_rng)
-    return whole
-
-
-def st2_embed_pieces(
-    cover: Iterable[str],
-    hidden: Iterable[int],
-    alphabet: Alphabet,
-    padding_rng: random.Random,
-) -> Iterator[EmbedResult]:
-    """st2_embed over a stream, in pieces of at most _PIECE_SYMBOLS symbols."""
-    return _st2_embed(_PIECE_SYMBOLS, cover, hidden, alphabet, padding_rng)
+    """Pair scheme: stn_embed at n = 2, which draws no payload length."""
+    return stn_embed(cover, hidden, 2, alphabet, random.Random(0), padding_rng)
 
 
 def st2_extract(stego: Iterable[str], alphabet: Alphabet) -> ExtractResult:
     """Invert st2_embed: ascending distinct pair -> 0, descending -> 1."""
-    (whole,) = _st2_extract(_WHOLE_STREAM, stego, alphabet)
-    return whole
-
-
-def st2_extract_pieces(stego: Iterable[str], alphabet: Alphabet) -> Iterator[ExtractResult]:
-    """st2_extract over a stream, in pieces of at most _PIECE_SYMBOLS symbols."""
-    return _st2_extract(_PIECE_SYMBOLS, stego, alphabet)
+    return stn_extract(stego, 2, alphabet)
 
 
 def stn_embed(
@@ -492,17 +418,9 @@ def stn_embed(
     alphabet: Alphabet,
     delta_rng: random.Random,
     padding_rng: random.Random,
-    force_delta: int | None = None,
 ) -> EmbedResult:
-    """Block-based embedding with randomized per-block payload length.
-
-    ``force_delta`` pins the payload-length draw to a fixed value (test
-    hook); it must be admissible for every block encountered, and the
-    override is recorded on each trace record.
-    """
-    (whole,) = _stn_embed(
-        _WHOLE_STREAM, cover, hidden, n, alphabet, delta_rng, padding_rng, force_delta
-    )
+    """Block-based embedding with randomized per-block payload length."""
+    (whole,) = _stn_embed(_WHOLE_STREAM, cover, hidden, n, alphabet, delta_rng, padding_rng)
     return whole
 
 
@@ -513,15 +431,12 @@ def stn_embed_pieces(
     alphabet: Alphabet,
     delta_rng: random.Random,
     padding_rng: random.Random,
-    force_delta: int | None = None,
 ) -> Iterator[EmbedResult]:
     """stn_embed over a stream, in pieces of at most _PIECE_SYMBOLS symbols.
 
     A piece holds whole blocks, or one block when a block is longer.
     """
-    return _stn_embed(
-        _PIECE_SYMBOLS, cover, hidden, n, alphabet, delta_rng, padding_rng, force_delta
-    )
+    return _stn_embed(_PIECE_SYMBOLS, cover, hidden, n, alphabet, delta_rng, padding_rng)
 
 
 def stn_extract(stego: Iterable[str], n: int, alphabet: Alphabet) -> ExtractResult:

@@ -47,18 +47,13 @@ def expand(value: int) -> tuple[int, ...]:
     return tuple(m - j for j, digit in enumerate(bin(value)[2:]) if digit == "1")
 
 
-def sample_delta(value: int, rng: random.Random, forced: int | None = None) -> int:
+def sample_delta(value: int, rng: random.Random) -> int:
     """Draw a payload length with band probabilities 2**i / N for N = ``value``.
 
     A power-of-two class has a single band, so the draw is forced and the
-    generator is not consumed. ``forced`` overrides the draw with a fixed,
-    admissible length (test hook; InvalidDelta if the band does not exist).
+    generator is not consumed.
     """
     width = _positive(value).bit_length()
-    if forced is not None:
-        if not (0 <= forced < width and value >> forced & 1):
-            raise InvalidDelta(f"forced payload length {forced} is not a set bit of {value}")
-        return forced
     if value & (value - 1) == 0:
         return width - 1
     # A uniform u on [0, N) by rejection from width-bit draws: the loop of

@@ -207,7 +207,7 @@ class TestEmpiricalRate:
         model = two_point_model(Fraction(1, 2))
         cover = draw_cover(model, symbols, random.Random(21))
         result = st2_embed(cover, hidden_bit_stream(random.Random(22)), AB, random.Random(23))
-        report = empirical_rate(result, symbols, model, 2, scheme="st2")
+        report = empirical_rate(result, symbols, model, 2)
         sigma = math.sqrt(0.25 * (symbols / 2)) / symbols
         assert abs(report.empirical_rate - 0.25) < 3 * sigma
         assert report.padding_bits == 0

@@ -105,13 +105,12 @@ class TestEmbedExtract:
             "--cover", str(workdir / "cover.txt"),
             "--hidden", str(workdir / "hidden.bin"),
             "--out", str(workdir / "stego.txt"),
-            "--force-delta", "1",
+            "--seed-delta", "5",  # its first draw lands in band d = 1 of the class of 6
         ])
         assert result.exit_code == 0, result.output
         assert read_tokens(workdir / "stego.txt") == "cab"
         summary = json.loads(result.output)
         assert summary["bits_embedded"] == 1
-        assert summary["force_delta"] == 1
 
         extracted = runner.invoke(main, [
             "extract", "--alphabet", str(workdir / "alphabet.txt"),
@@ -173,19 +172,6 @@ class TestEmbedExtract:
         error_lines = [line for line in result.output.splitlines() if line.startswith("error: ")]
         assert len(error_lines) == 1, result.output
         assert str(workdir / "missing.txt") in error_lines[0]
-
-    def test_force_delta_rejected_for_pair_scheme(self, runner, workdir):
-        write_tokens(workdir / "cover.txt", "ab")
-        (workdir / "hidden.bin").write_bytes(b"\x00")
-        result = runner.invoke(main, [
-            "embed", "--alphabet", str(workdir / "alphabet.txt"),
-            "--scheme", "st2",
-            "--cover", str(workdir / "cover.txt"),
-            "--hidden", str(workdir / "hidden.bin"),
-            "--out", str(workdir / "stego.txt"),
-            "--force-delta", "1",
-        ])
-        assert result.exit_code == 4
 
     def test_framed_round_trip(self, runner, workdir):
         payload = b"meet at the library"
@@ -250,6 +236,33 @@ class TestEmbedExtract:
         ])
         assert embed.exit_code == 0
         assert read_tokens(workdir / "stego.txt") == "aaabbaaabaabaaaabb"
+
+    def test_pair_scheme_is_block_scheme_at_2(self, runner, workdir, small_pieces):
+        secret = b"pairs"
+        write_tokens(workdir / "cover.txt", "".join(random.Random(4).choices("abc", k=601)))
+        (workdir / "hidden.bin").write_bytes(secret)
+        summaries = []
+        # st2 sets the block length to 2 whatever -n says
+        for name, scheme_args in (("st2", ["--scheme", "st2", "-n", "5"]), ("stn", ["-n", "2"])):
+            embed = runner.invoke(main, [
+                "embed", "--alphabet", str(workdir / "alphabet.txt"), *scheme_args,
+                "--cover", str(workdir / "cover.txt"),
+                "--hidden", str(workdir / "hidden.bin"),
+                "--out", str(workdir / f"{name}.txt"), "--frame-length",
+            ])
+            assert embed.exit_code == 0, embed.output
+            summaries.append(json.loads(embed.output))
+            extract = runner.invoke(main, [
+                "extract", "--alphabet", str(workdir / "alphabet.txt"), *scheme_args,
+                "--stego", str(workdir / f"{name}.txt"),
+                "--out", str(workdir / f"{name}.bin"), "--frame-length",
+            ])
+            assert extract.exit_code == 0, extract.output
+            assert (workdir / f"{name}.bin").read_bytes() == secret
+        assert (workdir / "st2.txt").read_bytes() == (workdir / "stn.txt").read_bytes()
+        keys = ("bits_embedded", "padding_bits", "blocks")
+        assert [summaries[0][key] for key in keys] == [summaries[1][key] for key in keys]
+        assert summaries[0]["padding_bits"] > 0
 
     def test_determinism(self, runner, workdir):
         write_tokens(workdir / "cover.txt", "abcabcbcaacb" * 40)

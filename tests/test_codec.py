@@ -15,7 +15,6 @@ from permsteg import (
     ExtractTrace,
     InvalidAlphabet,
     InvalidBlockLength,
-    InvalidDelta,
     UnknownSymbol,
     bits_from_int,
     bytes_to_bits,
@@ -24,9 +23,7 @@ from permsteg import (
     frame_payload,
     sample_delta,
     st2_embed,
-    st2_embed_pieces,
     st2_extract,
-    st2_extract_pieces,
     stn_embed,
     stn_embed_pieces,
     stn_extract,
@@ -112,15 +109,12 @@ class TestPairScheme:
 
 class TestBlockScheme:
     def test_worked_example(self):
-        result = stn_embed(
-            ["b", "a", "c"], [0], 3, ABC, random.Random(1), random.Random(2),
-            force_delta=1,
-        )
+        # this delta seed's first draw lands in band d = 1 of the class of 6
+        result = stn_embed(["b", "a", "c"], [0], 3, ABC, random.Random(5), random.Random(2))
         assert result.stego == ("c", "a", "b")
         assert result.bits_embedded == 1
         rec = result.trace[0]
         assert (rec.class_size, rec.delta, rec.payload, rec.index) == (6, 1, 0, 4)
-        assert rec.forced is True
         extracted = stn_extract(result.stego, 3, ABC)
         assert extracted.bits == (0,)
         assert extracted.trace[0] == (1, 0, 4)
@@ -135,8 +129,7 @@ class TestBlockScheme:
 
     def test_trailing_partial_block_passes_through(self):
         result = stn_embed(
-            ["b", "a", "c", "c", "a"], [0], 3, ABC, random.Random(1), random.Random(2),
-            force_delta=1,
+            ["b", "a", "c", "c", "a"], [0], 3, ABC, random.Random(5), random.Random(2)
         )
         assert result.stego[:3] == ("c", "a", "b")
         assert result.stego[3:] == ("c", "a")
@@ -167,13 +160,6 @@ class TestBlockScheme:
             stn_embed(stream, [1] * 8, 3, ABC, random.Random(0), random.Random(1))
         with pytest.raises(UnknownSymbol, match="'z'"):
             stn_extract(stream, 3, ABC)
-
-    def test_force_delta_invalid_for_block(self):
-        with pytest.raises(InvalidDelta):
-            stn_embed(
-                ["a", "a", "a"], [0], 3, ABC, random.Random(0), random.Random(1),
-                force_delta=1,
-            )
 
     def test_empty_cover(self):
         result = stn_embed([], [1, 0], 4, ABC, random.Random(0), random.Random(1))
@@ -250,7 +236,10 @@ class TestSchemeCoincidence:
     def test_pair_and_block_schemes_agree_for_n2(self):
         # exhaustive: 3-symbol alphabet, every cover of length <= 8; for each
         # cover every full-length hidden string, plus every shorter prefix of
-        # one fixed pattern (exercises the padding path with equal seeds)
+        # one fixed pattern (exercises the padding path with equal seeds).
+        # The pair scheme's embed is checked against the per-block oracle
+        # embed at n = 2, its extract against brute-force rank and decode.
+        reference = TestEmbedAgainstOracles._reference
         for length in range(1, 9):
             for cover in product(ABC.symbols, repeat=length):
                 mixed = sum(
@@ -265,20 +254,20 @@ class TestSchemeCoincidence:
                     ]
                 for hidden in hiddens:
                     pair = st2_embed(cover, hidden, ABC, random.Random(77))
-                    block = stn_embed(
-                        cover, hidden, 2, ABC, random.Random(1), random.Random(77)
-                    )
-                    assert pair.stego == block.stego
-                    assert pair.bits_embedded == block.bits_embedded
-                    assert pair.padding_bits == block.padding_bits
-                    assert [r.delta for r in pair.trace] == [
-                        r.delta for r in block.trace
-                    ]
-                    assert pair.trace == block.trace
+                    # the oracle's padding generator is seeded 76 + 1
+                    stego, records, genuine, padding = reference(cover, hidden, 2, ABC, 76)
+                    assert pair.stego == stego, (cover, hidden)
+                    assert pair.records == records, (cover, hidden)
+                    assert (pair.bits_embedded, pair.padding_bits) == (genuine, padding)
+                    block = stn_embed(cover, hidden, 2, ABC, random.Random(1), random.Random(77))
+                    assert block == pair
                     pair_out = st2_extract(pair.stego, ABC)
-                    block_out = stn_extract(block.stego, 2, ABC)
-                    assert pair_out.bits == block_out.bits
-                    assert pair_out.trace == block_out.trace
+                    _, extract_ref = _reference_traces(pair.stego, 2)
+                    assert pair_out.trace == extract_ref, (cover, hidden)
+                    assert list(pair_out.bits) == [
+                        (r >> i) & 1 for d, r, _ in extract_ref for i in reversed(range(d))
+                    ]
+                    assert stn_extract(block.stego, 2, ABC) == pair_out
 
     def test_no_delta_randomness_consumed_for_n2(self):
         delta_rng = random.Random(123)
@@ -302,8 +291,8 @@ class TestPieces:
         hidden = [rng.getrandbits(1) for _ in range(20 * n)]
         if scheme == "st2":
             return (
-                lambda: st2_embed_pieces(cover, hidden, alphabet, random.Random(7)),
-                lambda stego: st2_extract_pieces(stego, alphabet),
+                lambda: stn_embed_pieces(cover, hidden, 2, alphabet, *rngs(5, 7)),
+                lambda stego: stn_extract_pieces(stego, 2, alphabet),
                 lambda: st2_embed(cover, hidden, alphabet, random.Random(7)),
                 lambda stego: st2_extract(stego, alphabet),
             )
@@ -347,8 +336,8 @@ class TestPieces:
         monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 8)
         cover = list("abcabcabcabcabcabcabcabcabcabcab") + ["z"]
         if scheme == "st2":
-            pieces = st2_embed_pieces(cover, [1, 0] * 20, ABC, random.Random(1))
-            parts = st2_extract_pieces(cover, ABC)
+            pieces = stn_embed_pieces(cover, [1, 0] * 20, 2, ABC, *rngs(0, 1))
+            parts = stn_extract_pieces(cover, 2, ABC)
         else:
             pieces = stn_embed_pieces(cover, [1, 0] * 20, 4, ABC, *rngs(1, 2))
             parts = stn_extract_pieces(cover, 4, ABC)
@@ -682,14 +671,14 @@ class TestBitWindow:
         assert (window.stego, window.bits_embedded) == (per_bit.stego, per_bit.bits_embedded)
 
 
-def _reference_traces(stego, n, forced=False):
+def _reference_traces(stego, n):
     """Embed and extract records built block by block with the brute-force oracles."""
     embed, extract = [], []
     for start in range(0, len(stego) - n + 1, n):
         block = stego[start : start + n]
         size, tau = brute_class_size(block), brute_rank(block)
         d, r = brute_decode(size, tau)
-        embed.append(BlockTrace(size, d, r, tau, forced))
+        embed.append(BlockTrace(size, d, r, tau))
         extract.append(ExtractTrace(d, r, tau))
     return tuple(embed), tuple(extract)
 
@@ -698,8 +687,8 @@ class TestTraceOnRequest:
     """trace, blocks and consumed_bits() are built from compact records."""
 
     @staticmethod
-    def _check(result, extracted, n, forced=False):
-        embed_ref, extract_ref = _reference_traces(result.stego, n, forced)
+    def _check(result, extracted, n):
+        embed_ref, extract_ref = _reference_traces(result.stego, n)
         assert result.trace == embed_ref
         assert [str(rec) for rec in result.trace] == [str(rec) for rec in embed_ref]
         assert result.blocks == len(embed_ref)
@@ -714,8 +703,8 @@ class TestTraceOnRequest:
         cover = [rng.choice(ABC.symbols) for _ in range(30 * n + 1)]
         hidden = [rng.getrandbits(1) for _ in range(5 * n)]
         if scheme == "st2":
-            embed = lambda: st2_embed_pieces(cover, hidden, ABC, random.Random(7))
-            extract = lambda stego: st2_extract_pieces(stego, ABC)
+            embed = lambda: stn_embed_pieces(cover, hidden, 2, ABC, *rngs(5, 7))
+            extract = lambda stego: stn_extract_pieces(stego, 2, ABC)
         else:
             embed = lambda: stn_embed_pieces(cover, hidden, n, ABC, *rngs(5, 7))
             extract = lambda stego: stn_extract_pieces(stego, n, ABC)
@@ -731,11 +720,6 @@ class TestTraceOnRequest:
             self._check(piece, part, n)
         assert sum(piece.blocks for piece in pieces) == whole.blocks
         assert sum((piece.consumed_bits() for piece in pieces), []) == whole.consumed_bits()
-
-    def test_forced_flag_on_every_record(self):
-        result = stn_embed(list("bacabc"), [1, 0], 3, ABC, *rngs(1, 2), force_delta=1)
-        self._check(result, stn_extract(result.stego, 3, ABC), 3, forced=True)
-        assert all(rec.forced for rec in result.trace)
 
     def test_replace_and_equality(self):
         cover = list("abcabcacbbcacbaacb")

@@ -37,7 +37,6 @@ class TestExpand:
         calls = (
             expand,
             lambda bad: sample_delta(bad, random.Random(0)),
-            lambda bad: sample_delta(bad, random.Random(0), forced=0),
             lambda bad: encode_index(bad, -1, 0),  # N is checked before d and tau
             lambda bad: decode_index(bad, -1),
             expected_payload_bits,
@@ -134,14 +133,6 @@ class TestSampleDelta:
         rng = random.Random(11)
         allowed = set(expand(0b101001))
         assert all(sample_delta(0b101001, rng) in allowed for _ in range(500))
-
-    def test_forced_hook(self):
-        rng = random.Random(1)
-        assert sample_delta(6, rng, forced=1) == 1
-        with pytest.raises(InvalidDelta):
-            sample_delta(6, rng, forced=0)  # alpha_0 = 0 for 6
-        with pytest.raises(InvalidDelta):
-            sample_delta(6, rng, forced=5)
 
     def test_same_stream_as_randrange(self):
         # The draw must consume a seeded generator exactly as randrange(N)
