@@ -11,7 +11,6 @@ another exactly when their sorted tuples are equal.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 from .errors import InvalidAlphabet, UnknownSymbol
@@ -57,12 +56,10 @@ class Alphabet:
         """Load an alphabet file: one token per line, file order ignored."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
-        tokens = [line for line in lines if line]
-        if len(tokens) != len(set(tokens)):
-            counts = Counter(tokens)
-            dup = next(t for t, c in counts.items() if c > 1)
-            raise InvalidAlphabet(f"duplicate token {dup!r} in {path}")
-        return cls(tokens)
+        try:
+            return cls(line for line in lines if line)
+        except InvalidAlphabet as exc:
+            raise InvalidAlphabet(f"{exc} in {path}") from None
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -97,7 +94,7 @@ class Alphabet:
         return f"Alphabet({list(self._symbols)!r})"
 
 
-def symbol_alphabet(size: int, prefix: str = "s") -> Alphabet:
+def symbol_alphabet(size: int) -> Alphabet:
     """Generate a synthetic alphabet of ``size`` zero-padded tokens.
 
     Zero padding keeps the numeric order and the canonical byte order in
@@ -106,4 +103,4 @@ def symbol_alphabet(size: int, prefix: str = "s") -> Alphabet:
     if size < 1:
         raise InvalidAlphabet("size must be >= 1")
     width = len(str(size - 1))
-    return Alphabet(f"{prefix}{i:0{width}d}" for i in range(size))
+    return Alphabet(f"s{i:0{width}d}" for i in range(size))

@@ -56,6 +56,8 @@ def iter_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _guard_space(k: int, n: int) -> None:
+    if n < 1:
+        raise ValueError("block length must be >= 1")
     if k**n > EXACT_SPACE_GUARD:
         raise SpaceTooLarge(
             f"outcome space {k}^{n} exceeds the exact-enumeration guard {EXACT_SPACE_GUARD}"
@@ -64,8 +66,6 @@ def _guard_space(k: int, n: int) -> None:
 
 def block_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:
     """The i.i.d. product law over blocks of length n (the reference)."""
-    if n < 1:
-        raise ValueError("block length must be >= 1")
     _guard_space(len(model.alphabet), n)
     symbols = model.alphabet.symbols
     probs = model.probs
@@ -88,8 +88,6 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
     ``test_embed_loop_output_law_is_exact`` drives exhaustively. Exact
     rational arithmetic whenever the model is rational.
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
     _guard_space(len(model.alphabet), n)
     probs = model.probs
     rational = model.is_rational
@@ -236,6 +234,25 @@ def chi_square_gof(
     return statistic, p_value
 
 
+def _seeded_embed(
+    model: SourceModel,
+    n: int,
+    cover_symbols: int,
+    seed_source: int,
+    seed_hidden: int,
+    seed_delta: int,
+    seed_padding: int,
+) -> tuple[EmbedResult, dict[str, int]]:
+    """Embed an endless hidden stream in fresh seeded cover; the result and its seeds."""
+    cover = draw_cover(model, cover_symbols, random.Random(seed_source))
+    hidden = hidden_bit_stream(random.Random(seed_hidden))
+    delta_rng, padding_rng = random.Random(seed_delta), random.Random(seed_padding)
+    result = stn_embed(cover, hidden, n, model.alphabet, delta_rng, padding_rng)
+    seeds = {"source": seed_source, "hidden": seed_hidden,
+             "delta": seed_delta, "padding": seed_padding}
+    return result, seeds
+
+
 def empirical_distribution_report(
     model: SourceModel,
     n: int,
@@ -246,14 +263,8 @@ def empirical_distribution_report(
     seed_padding: int,
 ) -> DistributionReport:
     """Embed ``blocks`` blocks of fresh cover and test the output empirically."""
-    cover = draw_cover(model, blocks * n, random.Random(seed_source))
-    result = stn_embed(
-        cover,
-        hidden_bit_stream(random.Random(seed_hidden)),
-        n,
-        model.alphabet,
-        random.Random(seed_delta),
-        random.Random(seed_padding),
+    result, seeds = _seeded_embed(
+        model, n, blocks * n, seed_source, seed_hidden, seed_delta, seed_padding
     )
     observed = Counter(
         tuple(result.stego[i : i + n]) for i in range(0, blocks * n, n)
@@ -273,12 +284,7 @@ def empirical_distribution_report(
         chi_square=statistic,
         p_value=p_value,
         sample_size=blocks,
-        seeds={
-            "source": seed_source,
-            "hidden": seed_hidden,
-            "delta": seed_delta,
-            "padding": seed_padding,
-        },
+        seeds=seeds,
     )
 
 
@@ -401,19 +407,7 @@ def measure_stn_rate(
     bound: RateBound | None = None,
 ) -> RateReport:
     """Draw fresh cover, embed an endless hidden stream, and measure the rate."""
-    cover = draw_cover(model, cover_symbols, random.Random(seed_source))
-    result = stn_embed(
-        cover,
-        hidden_bit_stream(random.Random(seed_hidden)),
-        n,
-        model.alphabet,
-        random.Random(seed_delta),
-        random.Random(seed_padding),
+    result, seeds = _seeded_embed(
+        model, n, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
     )
-    seeds = {
-        "source": seed_source,
-        "hidden": seed_hidden,
-        "delta": seed_delta,
-        "padding": seed_padding,
-    }
     return empirical_rate(result, cover_symbols, model, n, bound=bound, seeds=seeds)

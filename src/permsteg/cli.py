@@ -31,12 +31,12 @@ since the receiver could not unframe it.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -155,10 +155,6 @@ def _write_report(path: str | None, payload: dict) -> None:
             out.write(text + "\n")
     else:
         click.echo(text)
-
-
-def _as_dict(report) -> dict:
-    return dataclasses.asdict(report)
 
 
 @click.group()
@@ -323,13 +319,13 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         seed_source, seed_hidden, seed_delta, seed_padding, bound=bound,
     )
     payload = {
-        "distribution": _as_dict(dist),
-        "rate": _as_dict(rate),
+        "distribution": asdict(dist),
+        "rate": asdict(rate),
         "theory": {
             "entropy": shannon_entropy(model),
             "min_entropy": min_entropy(model),
             "st2_rate": float(st2_rate(model)),
-            "rate_lower_bound": _as_dict(bound),
+            "rate_lower_bound": asdict(bound),
         },
     }
     _write_report(report_path, payload)
@@ -362,7 +358,7 @@ def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
         report = measure_stn_rate(
             model, n, symbols, seed_source, seed_hidden, seed_delta, seed_padding
         )
-        reports.append(_as_dict(report))
+        reports.append(asdict(report))
     payload = {
         "entropy": shannon_entropy(model),
         "min_entropy": min_entropy(model),

@@ -27,15 +27,18 @@ keeps the emitted distribution intact. Extraction cannot tell padding from
 payload; it returns every bit the embedder consumed, in order.
 
 Payload bits are pulled from the caller's iterable in windows of 64 (or as
-many as one block needs, when that is more). A bit other than 0 or 1 (bools
-count as 0 and 1) raises ValueError when its window is pulled, which can be
+many as one block needs, when that is more), and each window parses through
+``bits.int_from_bits``. A bit other than 0 or 1 (bools count as 0 and 1)
+raises ValueError naming the item when its window is pulled, which can be
 up to 63 bits before the block that would read it, and up to 63 bits past
 the last one read may have been taken from the caller's iterator.
 
-The codec takes each piece (see below) as one list, checks all its tokens
-at once (an unknown one raises UnknownSymbol naming the first in stream
-order, and its piece is not yielded) and splits it into blocks with
-``zip``. Embed maps each raw block of a small class to its class entry in a
+``_pieces`` is the one owner of the codec's input rules: n >= 2, an
+alphabet of at least 2 symbols, and known tokens. It takes each piece (see
+below) as one list, checks all its tokens with one set test (an unknown one
+raises UnknownSymbol naming the first in stream order, and its piece is not
+yielded) and splits it into blocks with ``zip`` and a trailing partial
+block. Embed maps each raw block of a small class to its class entry in a
 memo; any other block is sorted and its class size N taken in one
 run-length pass. It then draws u uniform on [0, N) from the delta generator
 as ``randrange(N)`` would (nothing for a power of two), takes d as the band
@@ -74,7 +77,7 @@ from .alphabet import Alphabet
 # bits_from_int, encode_index, expand and sample_delta go unused here (the
 # band code and bit packing are inlined below); bench/tracing.py wraps them
 # by name in this module.
-from .bits import BIT_DIGITS, DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
+from .bits import DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import decode_index, encode_index, expand, sample_delta
 from .ranking import rank_indices, sorted_class_size, unrank_indices
@@ -222,17 +225,9 @@ class _BitFeed:
         value = self._window & ((1 << self._avail) - 1)
         self._avail = 0
         if self._iter is not None:
-            want = max(need, _WINDOW_BITS)
-            try:
-                window = bytes(islice(self._iter, want))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"payload bits must be 0 or 1: {exc}") from None
+            window = list(islice(self._iter, max(need, _WINDOW_BITS)))
             if window:
-                try:
-                    fresh = int(window.translate(BIT_DIGITS), 2)
-                except ValueError:
-                    bad = next(bit for bit in window if bit > 1)
-                    raise ValueError(f"payload bit must be 0 or 1, got {bad!r}") from None
+                fresh = int_from_bits(window)
                 self._pulled += len(window)
                 if len(window) >= need:
                     self._window = fresh
@@ -245,20 +240,31 @@ class _BitFeed:
         return (value << need) | self._rng.getrandbits(need)
 
 
-def _symbol_indexer(alphabet: Alphabet) -> dict[str, int]:
-    return {token: i for i, token in enumerate(alphabet.symbols)}
+def _pieces(
+    stream: Iterable[str], n: int, alphabet: Alphabet, piece_symbols: int
+) -> Iterator[tuple[Iterator[tuple[str, ...]], list[str]]]:
+    """A stream's pieces, each as (its whole blocks, its trailing partial block).
 
-
-def _validate_tokens(tokens: Sequence[str], index: dict[str, int]) -> None:
-    """Raise UnknownSymbol naming the first of ``tokens`` not in the alphabet."""
-    if not index.keys() >= set(tokens):
-        token = next(token for token in tokens if token not in index)
-        raise UnknownSymbol(f"symbol {token!r} is not in the alphabet")
-
-
-def _require_codec_alphabet(alphabet: Alphabet) -> None:
+    A piece holds ``n * max(1, piece_symbols // n)`` symbols; only the last
+    may be short. Its tokens are checked with one set test before it is
+    yielded, and an unknown one raises UnknownSymbol naming the first in
+    stream order.
+    """
+    if n < 2:
+        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
     if len(alphabet) < 2:
         raise InvalidAlphabet("codec use requires an alphabet of at least 2 symbols")
+    symbols = frozenset(alphabet.symbols)
+    size = n * max(1, piece_symbols // n)
+    stream = iter(stream)
+    while True:
+        piece = list(islice(stream, size))
+        if not symbols.issuperset(piece):
+            token = next(token for token in piece if token not in symbols)
+            raise UnknownSymbol(f"symbol {token!r} is not in the alphabet")
+        yield zip(*[iter(piece)] * n), piece[len(piece) - len(piece) % n :]
+        if len(piece) < size:
+            return
 
 
 def _stn_embed(
@@ -270,10 +276,6 @@ def _stn_embed(
     delta_rng: random.Random,
     padding_rng: random.Random,
 ) -> Iterator[EmbedResult]:
-    if n < 2:
-        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
     feed = _BitFeed(hidden, padding_rng)
     read_int = feed.read_int
     getrandbits = delta_rng.getrandbits
@@ -282,20 +284,13 @@ def _stn_embed(
     classes: dict[tuple[str, ...], list] = {}
     memo: dict[tuple[str, ...], list] = {}
     budget = _MEMBER_TABLE_BUDGET
-    piece_size = n * max(1, piece_symbols // n)
-    stream = iter(cover)
-    done = False
-    while not done:
-        piece = list(islice(stream, piece_size))
-        done = len(piece) < piece_size
-        _validate_tokens(piece, index)
+    for blocks, tail in _pieces(cover, n, alphabet, piece_symbols):
         genuine, padding = feed.genuine, feed.padding
         out: list[str] = []
         records: list[tuple[int, int, int, int]] = []
         if n == 2:
             # a pair class has 1 or 2 words, so no payload length is drawn
-            pairs = iter(piece)
-            for x, y in zip(pairs, pairs):
+            for x, y in blocks:
                 if x == y:
                     out.append(x)
                     out.append(y)
@@ -310,7 +305,7 @@ def _stn_embed(
                         out.append(x)
                     records.append(_PAIR_EMBED_RECORD[1 + bit])
         else:
-            for block in zip(*[iter(piece)] * n):
+            for block in blocks:
                 entry = memo.get(block)
                 if entry is None:
                     key = sorted(block)
@@ -345,30 +340,19 @@ def _stn_embed(
                             budget -= 1
                     out.extend(word)
                 records.append((size, d, r, tau))
-        out.extend(piece[len(piece) - len(piece) % n :])  # trailing partial block, untouched
+        out.extend(tail)  # trailing partial block, untouched
         yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records))
 
 
 def _stn_extract(
     piece_symbols: int, stego: Iterable[str], n: int, alphabet: Alphabet
 ) -> Iterator[ExtractResult]:
-    if n < 2:
-        raise InvalidBlockLength(f"block length must be >= 2, got {n}")
-    _require_codec_alphabet(alphabet)
-    index = _symbol_indexer(alphabet)
     decoded: dict[tuple[str, ...], tuple[int, int, int]] = {}
-    piece_size = n * max(1, piece_symbols // n)
-    stream = iter(stego)
-    done = False
-    while not done:
-        piece = list(islice(stream, piece_size))
-        done = len(piece) < piece_size
-        _validate_tokens(piece, index)  # a trailing partial block yields nothing
+    for blocks, _ in _pieces(stego, n, alphabet, piece_symbols):  # a partial block has no bits
         bits = bytearray()
         records: list[tuple[int, int, int]] = []
         if n == 2:
-            pairs = iter(piece)
-            for x, y in zip(pairs, pairs):
+            for x, y in blocks:
                 if x == y:
                     records.append(_PAIR_EXTRACT_RECORD[0])
                 else:
@@ -377,7 +361,7 @@ def _stn_extract(
                     records.append(_PAIR_EXTRACT_RECORD[1 + bit])
         else:
             window = 1  # a leading 1, then the block values not yet in ``bits``
-            for block in zip(*[iter(piece)] * n):
+            for block in blocks:
                 rec = decoded.get(block)
                 if rec is None:
                     tau, size = rank_indices(block)

@@ -53,7 +53,7 @@ class TestAlphabet:
     def test_file_duplicates_error(self, tmp_path):
         path = tmp_path / "alphabet.txt"
         path.write_text("a\nb\na\n", encoding="utf-8")
-        with pytest.raises(InvalidAlphabet, match="duplicate"):
+        with pytest.raises(InvalidAlphabet, match=f"duplicate token 'a' in .*{path.name}"):
             Alphabet.from_file(path)
 
     def test_symbol_alphabet_padding_keeps_order(self):

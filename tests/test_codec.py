@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from itertools import accumulate, product
 
@@ -615,14 +616,15 @@ class TestBitWindow:
         rng = random.Random(seed)
         return [rng.choice(alphabet.symbols) for _ in range(n * blocks)], alphabet
 
-    @pytest.mark.parametrize("bad", [2, -1, "1", 1.5])
+    @pytest.mark.parametrize("bad", [2, -1, "1", 1.5, None])
     @pytest.mark.parametrize("position", [0, 5, 100])
     def test_bad_bit_raises(self, bad, position):
         cover, alphabet = self._cover(8, 4, 200)
         hidden = draw_hidden_bits(position, random.Random(position)) + [bad, 0]
-        with pytest.raises(ValueError):
+        # the error names the offending item, whatever its type
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             stn_embed(cover, hidden, 4, alphabet, *rngs(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             st2_embed(cover, hidden, alphabet, random.Random(2))
 
     def test_bools_accepted(self):
