@@ -266,6 +266,13 @@ def empirical_distribution_report(
     result, seeds = _seeded_embed(
         model, n, blocks * n, seed_source, seed_hidden, seed_delta, seed_padding
     )
+    return _distribution_of(result, seeds, model, n, blocks)
+
+
+def _distribution_of(
+    result: EmbedResult, seeds: dict[str, int], model: SourceModel, n: int, blocks: int
+) -> DistributionReport:
+    """The empirical distribution report of an embed of ``blocks`` blocks."""
     observed = Counter(
         tuple(result.stego[i : i + n]) for i in range(0, blocks * n, n)
     )
@@ -411,3 +418,19 @@ def measure_stn_rate(
         model, n, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
     )
     return empirical_rate(result, cover_symbols, model, n, bound=bound, seeds=seeds)
+
+
+def _empirical_reports(
+    model: SourceModel, n: int, blocks: int, *seeds: int, bound: RateBound | None = None
+) -> tuple[DistributionReport, RateReport]:
+    """empirical_distribution_report and measure_stn_rate over one embed.
+
+    Both draw the same seeded cover of ``blocks * n`` symbols and embed it
+    the same way, so one embed serves both reports. ``seeds`` are the
+    source, hidden, delta and padding seeds, in that order.
+    """
+    result, named_seeds = _seeded_embed(model, n, blocks * n, *seeds)
+    return (
+        _distribution_of(result, named_seeds, model, n, blocks),
+        empirical_rate(result, blocks * n, model, n, bound=bound, seeds=named_seeds),
+    )

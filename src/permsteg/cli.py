@@ -45,7 +45,7 @@ import click
 
 from .alphabet import Alphabet
 from .analysis import (
-    empirical_distribution_report,
+    _empirical_reports,
     exact_distribution_report,
     measure_stn_rate,
     min_entropy,
@@ -307,17 +307,15 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
     model = load_model(model_path)
     if block_size < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
+    seeds = (seed_source, seed_hidden, seed_delta, seed_padding)
     if mode == "exact":
         dist = exact_distribution_report(model, block_size)
+        bound = rate_lower_bound(model, block_size)
+        rate = measure_stn_rate(model, block_size, samples * block_size, *seeds, bound=bound)
     else:
-        dist = empirical_distribution_report(
-            model, block_size, samples, seed_source, seed_hidden, seed_delta, seed_padding
-        )
-    bound = rate_lower_bound(model, block_size)
-    rate = measure_stn_rate(
-        model, block_size, samples * block_size,
-        seed_source, seed_hidden, seed_delta, seed_padding, bound=bound,
-    )
+        bound = rate_lower_bound(model, block_size)
+        # the two reports embed the same cover, so they share one embed
+        dist, rate = _empirical_reports(model, block_size, samples, *seeds, bound=bound)
     payload = {
         "distribution": asdict(dist),
         "rate": asdict(rate),

@@ -44,7 +44,9 @@ run-length pass. It then draws u uniform on [0, N) from the delta generator
 as ``randrange(N)`` would (nothing for a power of two), takes d as the band
 holding u and the index as offset(d) + r, all as int arithmetic on N, and
 unranks the word at that index unless the class's member table holds it.
-Extract, like ``EmbedResult.consumed_bits``, appends each block's payload
+Extract ranks each block its decode map does not hold, takes d as the band
+holding the rank tau and r as tau's low d bits, again as int arithmetic on
+N. Like ``EmbedResult.consumed_bits``, it appends each block's payload
 value to a window int and turns each window of 64 or more bits into bit
 values in C.
 
@@ -74,9 +76,9 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
-# bits_from_int, encode_index, expand and sample_delta go unused here (the
-# band code and bit packing are inlined below); bench/tracing.py wraps them
-# by name in this module.
+# bits_from_int, decode_index, encode_index, expand and sample_delta go
+# unused here (the band code and bit packing are inlined below);
+# bench/tracing.py wraps them by name in this module.
 from .bits import DIGIT_BITS, bits_from_int, bits_to_bytes, int_from_bits
 from .errors import InvalidAlphabet, InvalidBlockLength, UnknownSymbol
 from .payload import decode_index, encode_index, expand, sample_delta
@@ -365,7 +367,9 @@ def _stn_extract(
                 rec = decoded.get(block)
                 if rec is None:
                     tau, size = rank_indices(block)
-                    d, r = decode_index(size, tau)
+                    # the band holding tau, as in decode_index
+                    d = (size ^ tau).bit_length() - 1
+                    r = tau & ((1 << d) - 1)
                     rec = (d, r, tau)
                     if size <= _MEMBER_TABLE_MAX_CLASS and len(decoded) < _MEMBER_TABLE_BUDGET:
                         decoded[block] = rec

@@ -2,17 +2,23 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
 
+import permsteg.analysis
 import permsteg.cli
 import permsteg.codec
 from permsteg import (
     Alphabet,
     bits_to_bytes,
     bytes_to_bits,
+    empirical_distribution_report,
     frame_payload,
+    load_model,
+    measure_stn_rate,
+    rate_lower_bound,
     st2_embed,
     st2_extract,
     stn_embed,
@@ -457,6 +463,36 @@ class TestAnalyze:
             "--block-size", "13", "--mode", "exact",
         ])
         assert result.exit_code == 4
+
+    def test_empirical_mode_embeds_once(self, runner, workdir, monkeypatch):
+        # the distribution and rate reports come from one embed, and each
+        # equals what its public function returns for the same seeds
+        model = load_model(workdir / "model.txt")
+        seeds = (5, 6, 7, 8)
+        bound = rate_lower_bound(model, 3)
+        expected = {
+            "distribution": asdict(empirical_distribution_report(model, 3, 600, *seeds)),
+            "rate": asdict(measure_stn_rate(model, 3, 1800, *seeds, bound=bound)),
+        }
+        calls = []
+        real_embed = permsteg.analysis.stn_embed
+
+        def counting_embed(*args, **kwargs):
+            calls.append(args)
+            return real_embed(*args, **kwargs)
+
+        monkeypatch.setattr(permsteg.analysis, "stn_embed", counting_embed)
+        result = runner.invoke(main, [
+            "analyze", "--model", str(workdir / "model.txt"),
+            "--block-size", "3", "--mode", "empirical", "--samples", "600",
+            "--seed-source", "5", "--seed-hidden", "6",
+            "--seed-delta", "7", "--seed-padding", "8",
+            "--report", str(workdir / "report.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        report = json.loads((workdir / "report.json").read_text())
+        assert {part: report[part] for part in expected} == json.loads(json.dumps(expected))
 
 
 class TestRatesSweep:

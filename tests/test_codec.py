@@ -19,10 +19,12 @@ from permsteg import (
     UnknownSymbol,
     bits_from_int,
     bytes_to_bits,
+    decode_index,
     draw_hidden_bits,
     encode_index,
     frame_payload,
     sample_delta,
+    sorted_class_size,
     st2_embed,
     st2_extract,
     stn_embed,
@@ -422,6 +424,28 @@ class TestExtractAgainstOracles:
             assert len(parts) == blocks // max(1, 8 // n) + 1, (k, n, seed)
             assert sum((part.records for part in parts), ()) == records, (k, n, seed)
             assert sum((part.bits for part in parts), ()) == bits, (k, n, seed)
+
+    @pytest.mark.parametrize(
+        "k, n, blocks", [(5, 3, 60), (8, 4, 60), (26, 10, 30), (256, 256, 3)]
+    )
+    def test_records_equal_decode_index(self, k, n, blocks):
+        # extract's inline band decode against payload.decode_index on each
+        # block's class size: random classes, then N = 1 and N = n at ranks
+        # n - 1 and 0 (a power of two at n = 4 and n = 256)
+        alphabet = symbol_alphabet(k)
+        rng = random.Random(k * n)
+        a, b = alphabet.symbols[:2]
+        stego = rng.choices(alphabet.symbols, k=n * blocks)
+        stego += [a] * n + [b] + [a] * (n - 1) + [a] * (n - 1) + [b]
+        sizes = []
+        result = stn_extract(stego, n, alphabet)
+        for start, (d, r, tau) in zip(range(0, len(stego), n), result.records):
+            size = sorted_class_size(sorted(stego[start : start + n]))
+            assert (d, r) == decode_index(size, tau), (k, n, start)
+            sizes.append(size)
+        assert len(sizes) == blocks + 3
+        assert sizes[-3:] == [1, n, n]
+        assert [tau for _, _, tau in result.records[-3:]] == [0, n - 1, 0]
 
 
 def _zipf_cover(k, n, blocks, seed):

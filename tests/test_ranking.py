@@ -12,6 +12,7 @@ from permsteg import (
     IndexOutOfRange,
     multinomial,
     rank_indices,
+    ranking,
     sorted_class_size,
     symbol_alphabet,
     unrank_indices,
@@ -163,6 +164,40 @@ class TestAgainstPositionalReference:
             unrank_indices(word, 1)
         with pytest.raises(IndexOutOfRange):
             unrank_indices(word, -1)
+
+
+class TestChunkedRank:
+    """Ranks whose backward walk applies several chunks of positions."""
+
+    @staticmethod
+    def _check(word):
+        size = multinomial(Counter(word).values())
+        first, last = sorted(word), sorted(word, reverse=True)
+        assert rank_indices(first) == (0, size)
+        assert rank_indices(last) == (size - 1, size)
+        assert positional_rank(first) == 0
+        assert positional_rank(last) == size - 1
+        assert rank_indices(word) == (positional_rank(word), size)
+
+    @pytest.mark.parametrize("k, n", [(256, 256), (26, 256), (2, 1024)])
+    def test_first_last_and_random_member(self, k, n):
+        rng = random.Random(k * n)
+        self._check([rng.randrange(k) for _ in range(n)])
+
+    def test_one_letter_flushes_with_counts(self):
+        # one class member: every chunk has b = a > 1
+        self._check([0, 0] * 512)
+
+    @pytest.mark.parametrize("limit", [1, 1 << 20, 1 << 4000])
+    def test_chunk_limit_does_not_change_the_rank(self, monkeypatch, limit):
+        # a flush after every position, after a few, and never
+        rng = random.Random(limit.bit_length())
+        words = [[rng.randrange(k) for _ in range(n)] for k, n in
+                 [(256, 256), (26, 256), (2, 1024), (3, 40), (8, 4)]]
+        expected = [(positional_rank(word), multinomial(Counter(word).values()))
+                    for word in words]
+        monkeypatch.setattr(ranking, "_CHUNK_LIMIT", limit)
+        assert [rank_indices(word) for word in words] == expected
 
 
 class TestRunLengthSizeAndEarlyStop:
