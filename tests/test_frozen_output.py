@@ -12,6 +12,8 @@ through rank/unrank and the boundaries between runs of equal letters.
 The Zipf k=8, n=4 cover has classes of at most 24 members that recur
 thousands of times, so it runs the recurring-class paths: embed's member
 tables and the blocks extract decodes once and then looks up.
+The uniform k=256, n=256 cover has class sizes of some 1,600 bits, so its
+blocks run the chunked rank and unrank of big classes.
 Inputs are drawn here with ``random`` directly, so the digests do not
 depend on ``permsteg.sources``.
 """
@@ -56,6 +58,16 @@ ZIPF8_EXTRACT_TRACE_SHA256 = {
     1: "27a2334c8d21112c29f3c9cab38801a9ecd70fe9eaadbc25391367d74a511006",
     2: "154d1523124aaa8c001443bd4d768ff549352d2e7b681f78fd0cdfc0375cc865",
     3: "6c57184f97685f4575688d421265f98ce929295f5bb646fee8cbd216de7f72e1",
+}
+LARGE_EMBED_SHA256 = {
+    1: "06b120279928c93c495e3fffd3a62a223e4a8d90569cf21a3a28454808d5d3ed",
+    2: "cbd494166ff164a9259d78911af986a83cfde1c87355369011f59440a6eb02e4",
+    3: "26063c22ff0e4f4af801ed4c0f826ed0626c3b2ecf772ddce3b0f6fe279a7b35",
+}
+LARGE_EXTRACT_SHA256 = {
+    1: "01473c51694ef3dc211d78bb3fc1f9f194eb41b21abc7b164fcc708aaf517f37",
+    2: "40c704bfacb2a49a183f62da0fa9175b6f8cd482fc3f31122f6ee87655104080",
+    3: "30f613a913f6504e2649861af16652ebfb0b5577aa7ceb94a3858207f66e9000",
 }
 ST2_EMBED_SHA256 = {
     1: "236da48fa33fe5d7b76cb65bd836c5086ebcf30dc94fb4081ec5bfbf4bfe6c61",
@@ -115,6 +127,21 @@ def test_stn_recurring_small_classes_frozen():
         assert _digest(result.stego) == ZIPF8_EMBED_SHA256[seed], seed
         assert _digest(extracted.bits) == ZIPF8_EXTRACT_SHA256[seed], seed
         assert _digest(extracted.trace) == ZIPF8_EXTRACT_TRACE_SHA256[seed], seed
+
+
+def test_stn_large_classes_frozen():
+    alphabet = symbol_alphabet(256)
+    for seed in STN_SEEDS:
+        rng = random.Random(seed)
+        cover = [rng.choice(alphabet.symbols) for _ in range(256 * 12 + 9)]
+        hidden = [rng.getrandbits(1) for _ in range(16_000)]
+        result = stn_embed(
+            cover, hidden, 256, alphabet, random.Random(seed + 100), random.Random(seed + 200)
+        )
+        extracted = stn_extract(result.stego, 256, alphabet)
+        assert result.padding_bits > 0, seed
+        assert _digest(result.stego) == LARGE_EMBED_SHA256[seed], seed
+        assert _digest(extracted.bits) == LARGE_EXTRACT_SHA256[seed], seed
 
 
 def test_st2_embed_frozen():

@@ -1,7 +1,8 @@
 import math
 import random
+from bisect import insort
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,66 @@ class TestChunkedRank:
                     for word in words]
         monkeypatch.setattr(ranking, "_CHUNK_LIMIT", limit)
         assert [rank_indices(word) for word in words] == expected
+
+
+class TestChunkedUnrank:
+    """Unranks that pick letters in chunks by a float estimate of index / size."""
+
+    @pytest.fixture
+    def put_back(self, monkeypatch):
+        # letters a chunk with a wrong pick returns to the remaining list
+        letters = []
+
+        def counting_insort(seq, item):
+            letters.append(item)
+            insort(seq, item)
+
+        monkeypatch.setattr(ranking, "insort", counting_insort)
+        return letters
+
+    def test_every_index_of_small_classes(self, monkeypatch, put_back):
+        # Threshold 1: every class of two or more words chunks, and a class
+        # of one word must still leave the loop. Exact ratios such as 1/3
+        # are common here, so float picks go wrong and the fallback runs.
+        monkeypatch.setattr(ranking, "_UNRANK_CHUNK_THRESHOLD", 1)
+        for n in range(1, 9):
+            for ordered in combinations_with_replacement(range(4), n):
+                size = sorted_class_size(ordered)
+                for tau in range(size):
+                    expected = positional_unrank(ordered, tau, size)
+                    assert unrank_indices(ordered, tau, size) == expected, (ordered, tau)
+        assert put_back
+
+    @pytest.mark.parametrize("k, n", [(256, 256), (256, 1024), (2, 1024), (3, 40)])
+    def test_ends_and_band_offsets(self, put_back, k, n):
+        rng = random.Random(k * n + 1)
+        ordered = sorted(rng.randrange(k) for _ in range(n))
+        size = sorted_class_size(ordered)
+        bits = size.bit_length()
+        taus = {0, 1, size - 2, size - 1}
+        for d in (0, 1, bits // 2, bits - 2, bits - 1):
+            offset = size >> d >> 1 << d << 1
+            taus |= {offset - 1, offset + 1}
+        for tau in sorted(tau for tau in taus if 0 <= tau < size):
+            expected = positional_unrank(ordered, tau, size)
+            assert unrank_indices(ordered, tau, size) == expected, (k, n, tau)
+        # a chunk is ~5 positions here; a wrong pick is rare, not the rule
+        assert len(put_back) < n
+
+    @pytest.mark.parametrize("limit", [1, 1 << 4000], ids=["one-position", "never"])
+    def test_chunk_limit_does_not_change_the_word(self, monkeypatch, limit):
+        # one position per chunk, and chunks that run to the last letter
+        rng = random.Random(limit.bit_length())
+        cases = []
+        for k, n in [(256, 256), (26, 100), (2, 256), (3, 40), (8, 4)]:
+            ordered = sorted(rng.randrange(k) for _ in range(n))
+            size = sorted_class_size(ordered)
+            for tau in (rng.randrange(size), size - 1):
+                cases.append((ordered, tau, size, positional_unrank(ordered, tau, size)))
+        monkeypatch.setattr(ranking, "_UNRANK_CHUNK_THRESHOLD", 1)
+        monkeypatch.setattr(ranking, "_UNRANK_CHUNK_LIMIT", limit)
+        for ordered, tau, size, expected in cases:
+            assert unrank_indices(ordered, tau, size) == expected, (len(ordered), tau)
 
 
 class TestRunLengthSizeAndEarlyStop:
