@@ -7,31 +7,18 @@ innocent traffic. The package provides the block scheme with randomized
 payload lengths and its n = 2 case, the pair scheme, simulated sources, and
 an analysis suite that verifies the distribution claim exactly on small
 instances and measures hiding rates against their theoretical bounds.
+
+The codec's names import with the package; the names of the analysis suite
+and the simulated sources import their module on first access.
 """
+
+from importlib import import_module as _import_module
 
 from .alphabet import (
     Alphabet,
     Block,
     Token,
     symbol_alphabet,
-)
-from .analysis import (
-    DistributionReport,
-    RateBound,
-    RateReport,
-    block_distribution,
-    chi_square_gof,
-    empirical_distribution_report,
-    empirical_rate,
-    exact_distribution_report,
-    exact_output_distribution,
-    expected_log_class_size,
-    measure_stn_rate,
-    min_entropy,
-    model_digest,
-    rate_lower_bound,
-    shannon_entropy,
-    st2_rate,
 )
 from .bits import bits_from_int, bits_to_bytes, bytes_to_bits, int_from_bits, iter_bits
 from .codec import (
@@ -70,17 +57,42 @@ from .payload import (
     sample_delta,
 )
 from .ranking import multinomial, rank_indices, sorted_class_size, unrank_indices
-from .sources import (
-    SourceModel,
-    draw_cover,
-    draw_hidden_bits,
-    hidden_bit_stream,
-    load_model,
-    save_model,
-    two_point_model,
-    uniform_model,
-    zipf_model,
-)
+
+# The names of the analysis suite and the simulated sources load on first
+# access (PEP 562), so importing the package or running embed and extract
+# does not pay for those modules.
+_LAZY_MODULES = {
+    "analysis": (
+        "DistributionReport",
+        "RateBound",
+        "RateReport",
+        "block_distribution",
+        "chi_square_gof",
+        "empirical_distribution_report",
+        "empirical_rate",
+        "exact_distribution_report",
+        "exact_output_distribution",
+        "expected_log_class_size",
+        "measure_stn_rate",
+        "min_entropy",
+        "model_digest",
+        "rate_lower_bound",
+        "shannon_entropy",
+        "st2_rate",
+    ),
+    "sources": (
+        "SourceModel",
+        "draw_cover",
+        "draw_hidden_bits",
+        "hidden_bit_stream",
+        "load_model",
+        "save_model",
+        "two_point_model",
+        "uniform_model",
+        "zipf_model",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -153,3 +165,16 @@ __all__ = [
     "unrank_indices",
     "zipf_model",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,8 +14,12 @@ of an ``error: ...`` line.
 ``embed`` and ``extract`` stream from file to file: tokens are read in
 batches, the codec works a piece of whole blocks at a time, and stego
 tokens are written per piece, so memory does not grow with the file's
-length. ``extract`` keeps its recovered bits one byte per bit, and with
-``--frame-length`` only the frame's bits.
+length. ``embed`` reads the hidden file in chunks; framed, it reads it
+whole, since a framed payload must fit the cover. ``extract`` writes the
+whole bytes of each piece's bits and carries fewer than 8 bits to the next
+piece; framed, it reads the 32-bit header and then writes exactly the
+frame's bits. Only ``generate``, ``analyze`` and ``rates`` import the
+analysis suite and the simulated sources.
 
 Every output file (``--out`` and ``--report``) is written atomically: to a
 temporary file beside it, renamed into place only on success. A failure
@@ -36,7 +40,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -44,32 +47,25 @@ from typing import Iterator, Sequence
 import click
 
 from .alphabet import Alphabet
-from .analysis import (
-    _empirical_reports,
-    exact_distribution_report,
-    measure_stn_rate,
-    min_entropy,
-    model_digest,
-    rate_lower_bound,
-    shannon_entropy,
-    st2_rate,
-)
 from .bits import bits_to_bytes, int_from_bits, iter_bits
-from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces, unframe_bits
+from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces
 from .errors import InvalidBlockLength, PermstegError, UnknownSymbol
-from .sources import draw_cover, load_model
 
 # The benchmark's tracer (bench/tracing.py) wraps these names in this module.
-# The commands no longer call them: they stream through the *_pieces generators.
+# The commands no longer call them: they stream through the *_pieces generators,
+# and extract reads the frame header from the stream as it goes.
 from .bits import bytes_to_bits  # noqa: F401
+from .codec import unframe_bits  # noqa: F401
 from .codec import st2_embed, st2_extract, stn_embed, stn_extract  # noqa: F401
 
 EXIT_IO = 2
 EXIT_UNKNOWN_SYMBOL = 3
 EXIT_CONFIG = 4
 
-# Lines of a token file are read in batches of about this many bytes.
-_READ_BATCH_BYTES = 1 << 16
+# Lines of a token file are read in batches of about this many bytes, and a
+# hidden file in chunks of this many bytes. On 5*10**5-token files, 1 << 14
+# and 1 << 16 raise the peak RSS by ~0.5 and ~2.5 MB at the same speed.
+_READ_BATCH_BYTES = 1 << 12
 
 
 def _fail(code: int, message: str) -> None:
@@ -119,6 +115,27 @@ class _TokenStream:
             yield batch
 
 
+def _hidden_bits(fh, frame_length: bool) -> tuple[Iterator[int], int]:
+    """The bits to embed from an open hidden file, and the framed bit count.
+
+    Unframed, the file is read chunk by chunk and the count is 0. Framed, it
+    is read whole, as the payload must fit the cover anyway.
+    """
+    if frame_length:
+        payload = frame_payload(fh.read())
+        return iter_bits(payload), 8 * len(payload)
+    chunks = iter(functools.partial(fh.read, _READ_BATCH_BYTES), b"")
+    return chain.from_iterable(map(iter_bits, chunks)), 0
+
+
+def _write_bytes(fh, bits: bytearray) -> None:
+    """Write the whole bytes of ``bits`` to an open binary file and keep the rest."""
+    whole = len(bits) - len(bits) % 8
+    if whole:
+        fh.write(bits_to_bytes(bits[:whole]))
+        del bits[:whole]
+
+
 def _write_tokens(fh, tokens: Sequence[str]) -> None:
     """Write tokens to an open text file, one per line."""
     if tokens:
@@ -142,6 +159,33 @@ def _atomic_out(path: str, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class _HeldOut:
+    """Binary writes to ``_atomic_out(path)`` whose ``OSError`` waits for ``check``.
+
+    Extract writes while it still reads its stream. Holding the output's fault
+    back lets a fault later in the stream set the exit code, as when the
+    output was opened only after the whole stream was read.
+    """
+
+    def __init__(self, stack: contextlib.ExitStack, path: str) -> None:
+        self.error: OSError | None = None
+        try:
+            self._fh = stack.enter_context(_atomic_out(path, binary=True))
+        except OSError as exc:
+            self.error = exc
+
+    def write(self, data: bytes) -> None:
+        if self.error is None:
+            try:
+                self._fh.write(data)
+            except OSError as exc:
+                self.error = exc
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
 
 
 def _emit(summary: dict) -> None:
@@ -181,13 +225,9 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
           seed_delta, seed_padding, frame_length) -> None:
     """Embed a hidden payload into a cover stream."""
     alphabet = Alphabet.from_file(alphabet_path)
-    with open(cover_path, "r", encoding="utf-8") as cover_fh:
-        with open(hidden_path, "rb") as fh:
-            payload = fh.read()
-        if frame_length:
-            payload = frame_payload(payload)
+    with open(cover_path, "r", encoding="utf-8") as cover_fh, open(hidden_path, "rb") as fh:
+        hidden, framed_bits = _hidden_bits(fh, frame_length)
         cover = _TokenStream(cover_fh)
-        hidden = iter_bits(payload)
         if scheme == "st2":
             block_size = 2
         pieces = stn_embed_pieces(cover, hidden, block_size, alphabet,
@@ -199,9 +239,9 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
                 blocks += piece.blocks
                 bits_embedded += piece.bits_embedded
                 padding_bits += piece.padding_bits
-            if frame_length and bits_embedded < 8 * len(payload):
+            if bits_embedded < framed_bits:
                 raise ValueError(
-                    f"framed payload of {8 * len(payload)} bits does not fit the cover: "
+                    f"framed payload of {framed_bits} bits does not fit the cover: "
                     f"bits_embedded {bits_embedded}"
                 )
     summary = {
@@ -231,36 +271,44 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
 def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_length) -> None:
     """Recover the embedded bit stream from a stego stream."""
     alphabet = Alphabet.from_file(alphabet_path)
-    # One byte per recovered bit; framed, only the frame's bits are kept.
-    bits = bytearray()
-    recovered = 0
-    frame_bits = None
-    with open(stego_path, "r", encoding="utf-8") as fh:
+    if scheme == "st2":
+        block_size = 2
+    # The bits at stream offsets [start, stop) are written: unframed all of
+    # them, framed the payload after the 32-bit header, once the header is in.
+    start, stop = (32, None) if frame_length else (0, sys.maxsize)
+    header = bytearray()
+    pending = bytearray()  # bits to write that do not fill a byte yet
+    recovered = 0  # the stream offset of the next piece's bits
+    with open(stego_path, "r", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
+        out = _HeldOut(stack, out_path)
         stego = _TokenStream(fh)
-        if scheme == "st2":
-            block_size = 2
         for piece in stn_extract_pieces(stego, block_size, alphabet):
-            recovered += len(piece.bits)
-            if frame_bits is None or len(bits) < frame_bits:
-                bits.extend(piece.bits)
-                if frame_length and frame_bits is None and len(bits) >= 32:
-                    frame_bits = 32 + 8 * int_from_bits(bits[:32])
-                if frame_bits is not None:
-                    del bits[frame_bits:]
-    if frame_length:
-        payload = unframe_bits(bits)
-        payload_bits = 8 * len(payload)
-    else:
-        payload = bits_to_bytes(bits)
-        payload_bits = recovered
-    with _atomic_out(out_path, binary=True) as out:
-        out.write(payload)
+            bits = piece.bits
+            if stop is None:
+                header.extend(bits[: 32 - len(header)])
+                if len(header) == 32:
+                    stop = 32 + 8 * int_from_bits(header)
+            if stop is not None:
+                pending.extend(bits[max(start - recovered, 0) : max(stop - recovered, 0)])
+                _write_bytes(out, pending)
+            recovered += len(bits)
+        if frame_length:
+            if stop is None:
+                raise ValueError(f"framed stream needs >= 32 bits, got {recovered}")
+            if recovered < stop:
+                raise ValueError(
+                    f"framed stream truncated: header says {(stop - 32) // 8} bytes, "
+                    f"only {(recovered - 32) // 8} available"
+                )
+        out.write(bits_to_bytes(pending))
+        out.check()
+    payload_bits = stop - 32 if frame_length else recovered
     _emit({
         "scheme": scheme,
         "stego_symbols": stego.count,
         "bits_recovered": recovered,
         "payload_bits": payload_bits,
-        "payload_bytes": len(payload),
+        "payload_bytes": (payload_bits + 7) // 8,
         "framed": frame_length,
     })
 
@@ -274,6 +322,9 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
 @_guarded
 def generate(model_path, count, seed_source, out_path) -> None:
     """Draw an i.i.d. cover stream from a source model."""
+    from .analysis import model_digest
+    from .sources import draw_cover, load_model
+
     model = load_model(model_path)
     if count < 0:
         raise ValueError("--count must be >= 0")
@@ -304,6 +355,19 @@ def generate(model_path, count, seed_source, out_path) -> None:
 def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
             seed_delta, seed_padding, report_path) -> None:
     """Check output-distribution equality and report rates for one model."""
+    from dataclasses import asdict
+
+    from .analysis import (
+        _empirical_reports,
+        exact_distribution_report,
+        measure_stn_rate,
+        min_entropy,
+        rate_lower_bound,
+        shannon_entropy,
+        st2_rate,
+    )
+    from .sources import load_model
+
     model = load_model(model_path)
     if block_size < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
@@ -344,6 +408,11 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
 def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
           seed_delta, seed_padding, report_path) -> None:
     """Measure hiding rates across block lengths (trend toward the entropy)."""
+    from dataclasses import asdict
+
+    from .analysis import measure_stn_rate, min_entropy, model_digest, shannon_entropy
+    from .sources import load_model
+
     model = load_model(model_path)
     try:
         sizes = [int(part) for part in block_sizes.split(",") if part.strip()]

@@ -29,9 +29,12 @@ unless N is an int >= 1.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import IndexOutOfRange, InvalidDelta, NonPositive, PayloadOutOfRange
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _positive(value: int) -> int:
@@ -84,4 +87,6 @@ def decode_index(value: int, tau: int) -> tuple[int, int]:
 
 def expected_payload_bits(value: int) -> Fraction:
     """Mean payload length under the band distribution: sum(l * 2**l) / N."""
+    from fractions import Fraction  # its only user; the codec path does not load it
+
     return Fraction(sum(level << level for level in expand(value)), value)

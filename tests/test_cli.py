@@ -1,8 +1,11 @@
+import contextlib
 import json
+import os
 import random
 import re
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -38,6 +41,24 @@ def workdir(tmp_path):
     (tmp_path / "model.txt").write_text("a 0.5\nb 0.3\nc 0.2\n", encoding="utf-8")
     (tmp_path / "ab_model.txt").write_text("a 0.7\nb 0.3\n", encoding="utf-8")
     return tmp_path
+
+
+def zipf_alphabet_cover(workdir, symbols):
+    """Write a 26-letter alphabet file; a seeded Zipf cover over it."""
+    tokens = "abcdefghijklmnopqrstuvwxyz"
+    (workdir / "alphabet.txt").write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    return random.Random(5).choices(tokens, weights=[1 / i for i in range(1, 27)], k=symbols)
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, top = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, top
 
 
 def write_tokens(path, text):
@@ -197,6 +218,29 @@ class TestEmbedExtract:
             "--scheme", "stn", "--block-size", "3",
             "--stego", str(workdir / "stego.txt"),
             "--out", str(workdir / "recovered.bin"),
+            "--frame-length",
+        ])
+        assert extract.exit_code == 0, extract.output
+        assert (workdir / "recovered.bin").read_bytes() == payload
+
+    def test_framed_embed_frames_the_bytes_read(self, runner, workdir, monkeypatch):
+        # procfs files report size 0 and sysfs files 4096; the frame holds
+        # what reading the file gives, not its reported size
+        payload = b"meet at the library"
+        write_tokens(workdir / "cover.txt", "abcbca" * 60)
+        (workdir / "hidden.bin").write_bytes(payload)
+        real_fstat = os.fstat
+
+        def fstat_size_0(fd):
+            info = real_fstat(fd)
+            return os.stat_result((*info[:6], 0, *info[7:10]))
+
+        monkeypatch.setattr(os, "fstat", fstat_size_0)
+        embed = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert embed.exit_code == 0, embed.output
+        extract = runner.invoke(main, [
+            "extract", "--alphabet", str(workdir / "alphabet.txt"), "--block-size", "3",
+            "--stego", str(workdir / "stego.txt"), "--out", str(workdir / "recovered.bin"),
             "--frame-length",
         ])
         assert extract.exit_code == 0, extract.output
@@ -404,6 +448,139 @@ class TestStreaming:
 
         peak(20_000)  # first use settles lazily built module state
         assert peak(80_000) <= 1.25 * peak(20_000)
+
+    def test_unframed_extract_peak_memory_flat_in_stream_length(self, runner, workdir,
+                                                                 monkeypatch):
+        # unframed, extract recovers every bit, padding included, and writes
+        # them piece by piece instead of holding them
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 400)
+        monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 4096)
+        cover = zipf_alphabet_cover(workdir, 4 * 20_000)
+        (workdir / "hidden.bin").write_bytes(random.Random(6).randbytes(400))
+
+        def peak(symbols):
+            write_tokens(workdir / "cover.txt", "".join(cover[:symbols]))
+            embed = runner.invoke(main, [
+                "embed", "--alphabet", str(workdir / "alphabet.txt"), "-n", "10",
+                "--cover", str(workdir / "cover.txt"),
+                "--hidden", str(workdir / "hidden.bin"),
+                "--out", str(workdir / "stego.txt"),
+            ])
+            assert embed.exit_code == 0, embed.output
+            extract, top = traced_peak(lambda: runner.invoke(main, [
+                "extract", "--alphabet", str(workdir / "alphabet.txt"), "-n", "10",
+                "--stego", str(workdir / "stego.txt"),
+                "--out", str(workdir / "recovered.bin"),
+            ]))
+            assert extract.exit_code == 0, extract.output
+            recovered = (workdir / "recovered.bin").read_bytes()
+            bits = json.loads(extract.output)["bits_recovered"]
+            assert bits > 8 * symbols // 10
+            assert len(recovered) == (bits + 7) // 8
+            assert recovered.startswith((workdir / "hidden.bin").read_bytes())
+            return top
+
+        peak(20_000)  # first use settles lazily built module state
+        assert peak(80_000) <= 1.25 * peak(20_000)
+
+    def test_embed_peak_memory_flat_in_hidden_size(self, runner, workdir, monkeypatch):
+        # the cover carries a few kilobits whatever the hidden file's size,
+        # and embed reads only the chunks it needs
+        monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 4096)
+        write_tokens(workdir / "cover.txt", "".join(zipf_alphabet_cover(workdir, 2000)))
+        secret = random.Random(7).randbytes(1 << 20)
+
+        def peak(size):
+            (workdir / "hidden.bin").write_bytes(secret[:size])
+            embed, top = traced_peak(lambda: runner.invoke(main, [
+                "embed", "--alphabet", str(workdir / "alphabet.txt"), "-n", "10",
+                "--cover", str(workdir / "cover.txt"),
+                "--hidden", str(workdir / "hidden.bin"),
+                "--out", str(workdir / f"stego-{size}.txt"),
+            ]))
+            assert embed.exit_code == 0, embed.output
+            assert json.loads(embed.output)["padding_bits"] == 0
+            return top
+
+        peak(1 << 18)  # first use settles lazily built module state
+        assert peak(1 << 20) <= 1.25 * peak(1 << 18)
+        # the same leading bits went in
+        assert (workdir / f"stego-{1 << 18}.txt").read_bytes() == (
+            workdir / f"stego-{1 << 20}.txt").read_bytes()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_framed_stego_cut_short_exit_4(self, runner, workdir, small_pieces, existing):
+        write_tokens(workdir / "cover.txt", "".join(random.Random(8).choices("abc", k=1200)))
+        (workdir / "hidden.bin").write_bytes(bytes(1000))
+        unframed = runner.invoke(main, embed_args(workdir, "stn"))
+        assert unframed.exit_code == 0, unframed.output
+        capacity = json.loads(unframed.output)["bits_embedded"]
+        # a frame that needs almost every block of the cover
+        (workdir / "hidden.bin").write_bytes(random.Random(9).randbytes(capacity // 8 - 5))
+        framed = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert framed.exit_code == 0, framed.output
+        stego = (workdir / "stego.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        # cut inside the 76th of the 100 pieces of 12 symbols, and inside a block
+        (workdir / "stego.txt").write_text("".join(stego[:905]), encoding="utf-8")
+        out = workdir / "recovered.bin"
+        if existing:
+            out.write_bytes(b"earlier output")
+        before = sorted(p.name for p in workdir.iterdir())
+        result = runner.invoke(main, [
+            "extract", "--alphabet", str(workdir / "alphabet.txt"), "--block-size", "3",
+            "--stego", str(workdir / "stego.txt"), "--out", str(out), "--frame-length",
+        ])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: framed stream truncated: header says "
+                                        f"{capacity // 8 - 5} bytes, only ")
+        assert sorted(p.name for p in workdir.iterdir()) == before
+        if existing:
+            assert out.read_bytes() == b"earlier output"
+
+
+    @pytest.mark.parametrize("output_fault", ["open", "write"])
+    @pytest.mark.parametrize("stream_fault, code", [(None, 2), ("unknown", 3), ("short", 4)])
+    def test_extract_stream_fault_outranks_output_fault(self, runner, workdir, small_pieces,
+                                                        monkeypatch, output_fault,
+                                                        stream_fault, code):
+        # extract writes while it reads, but reports an output fault only once
+        # the whole stream is read, so a fault in the stream sets the exit code
+        write_tokens(workdir / "cover.txt", "".join(random.Random(8).choices("abc", k=600)))
+        (workdir / "hidden.bin").write_bytes(random.Random(9).randbytes(8))
+        embed = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert embed.exit_code == 0, embed.output
+        stego = (workdir / "stego.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        if stream_fault == "unknown":
+            stego[-10] = "z\n"
+        elif stream_fault == "short":
+            del stego[len(stego) // 2:]
+        (workdir / "stego.txt").write_text("".join(stego), encoding="utf-8")
+        out = workdir / "recovered.bin"
+        if output_fault == "open":
+            out = workdir / "missing" / "recovered.bin"
+        else:
+            atomic_out = permsteg.cli._atomic_out
+            writes = []
+
+            @contextlib.contextmanager
+            def failing_out(path, binary=False):
+                def write(data):
+                    writes.append(data)
+                    raise OSError("disk full")
+
+                with atomic_out(path, binary):
+                    yield SimpleNamespace(write=write)
+
+            monkeypatch.setattr(permsteg.cli, "_atomic_out", failing_out)
+        before = sorted(p.name for p in workdir.iterdir())
+        result = runner.invoke(main, [
+            "extract", "--alphabet", str(workdir / "alphabet.txt"), "--block-size", "3",
+            "--stego", str(workdir / "stego.txt"), "--out", str(out), "--frame-length",
+        ])
+        assert result.exit_code == code, result.output
+        assert sorted(p.name for p in workdir.iterdir()) == before
+        if output_fault == "write":
+            assert len(writes) == 1  # the first piece's bytes, before the stream's fault
 
 
 class TestGenerate:

@@ -4,16 +4,21 @@
 particular), so a module that fails at import time would otherwise show up
 only as a collection error in whichever test file imports it. Importing the
 package or its command line must not load scipy or numpy, which only the
-chi-square checks use and which dominate start-up time when loaded.
+chi-square checks use and which dominate start-up time when loaded. Nor may
+it load the analysis suite, the simulated sources or ``fractions``: the
+package exports their names lazily, and only the commands that use them
+import them, so ``embed`` and ``extract`` do not pay for them.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -33,19 +38,56 @@ def test_module_imports(name):
     assert module.__name__ == name
 
 
-@pytest.mark.parametrize("name", ["permsteg", "permsteg.cli"])
-def test_import_loads_neither_scipy_nor_numpy(name):
-    # A fresh interpreter: other test files have already loaded scipy here.
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this source tree.
+
+    Other test files have already loaded scipy and every submodule here.
+    """
     src = str(pathlib.Path(_PACKAGE.origin).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+@pytest.mark.parametrize("name", ["permsteg", "permsteg.cli"])
+def test_import_loads_neither_scipy_nor_numpy(name):
     code = (
         f"import sys, {name}; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'numpy')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["permsteg", "permsteg.cli"])
+def test_import_loads_no_analysis_sources_or_fractions(name):
+    unwanted = ["permsteg.analysis", "permsteg.sources", "fractions"]
+    code = f"import sys, {name}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_exported_names_are_their_home_modules_objects():
+    # In a fresh interpreter, so the lazy names resolve on this first access.
+    code = textwrap.dedent("""
+        import importlib, json, pkgutil, permsteg
+        before = set(dir(permsteg))
+        values = {}
+        for name in permsteg.__all__:
+            namespace = {}
+            exec(f"from permsteg import {name}", namespace)
+            values[name] = namespace[name]
+        homes = [
+            importlib.import_module(f"permsteg.{info.name}")
+            for info in pkgutil.iter_modules(permsteg.__path__) if info.name != "cli"
+        ]
+        wrong = [
+            name for name, value in values.items()
+            if not any(name in vars(home) for home in homes)
+            or any(vars(home).get(name, value) is not value for home in homes)
+        ]
+        print(json.dumps({"wrong": wrong, "dir_lacks": sorted(set(permsteg.__all__) - before)}))
+    """)
+    assert json.loads(_fresh(code)) == {"wrong": [], "dir_lacks": []}
 
 
 def test_every_exported_name_resolves():
