@@ -11,17 +11,12 @@ not the embed loop, which inlines the band code; the acceptance test
 every draw and payload value on a small model.
 
 Empirical checks back this up at scale: chi-square goodness of fit of
-embedded output against the product law, and measured hiding rates
-compared against the lower bound
+embedded output against the product law (its tail a finite stdlib sum,
+``_chi2_sf``), and measured hiding rates compared against the lower bound
 
     rate(n) >= (E[log2 class_size] - 2) / n
 
 and the per-pair rate formula (1 - sum p_a^2) / 2 of the pair scheme.
-
-scipy is loaded only for the chi-square checks (``chi_square_gof``, and so
-``empirical_distribution_report`` and ``permsteg analyze --mode
-empirical``), on their first call; importing this module, and so the
-package and its command line, loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
@@ -227,11 +222,24 @@ def chi_square_gof(
     if len(kept) < 2:
         raise DegenerateCells(f"only {len(kept)} cell(s) left after pooling")
     statistic = sum((o - e) ** 2 / e for e, o in kept)
-    # Deferred: scipy.stats is most of the package's import time, and only chi-square needs it.
-    from scipy.stats import chi2
+    return statistic, _chi2_sf(statistic, len(kept) - 1)
 
-    p_value = float(chi2.sf(statistic, len(kept) - 1))
-    return statistic, p_value
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with an integer ``df`` >= 1, as a finite sum.
+
+    With z = x/2 it sums e^-z z^a / Gamma(a + 1) over a = 0, 1, ..., df/2 - 1
+    (even df; at df = 2 it is e^-z) or over a = 1/2, 3/2, ..., df/2 - 1 plus
+    erfc(sqrt z) (odd df).
+    """
+    if x <= 0:
+        return 1.0
+    z, half = x / 2, df % 2 / 2
+    log_z = math.log(z)
+    total = math.erfc(math.sqrt(z)) if half else 0.0
+    for a in range(df // 2):
+        total += math.exp((a + half) * log_z - z - math.lgamma(a + half + 1))
+    return total
 
 
 def _seeded_embed(
@@ -307,10 +315,7 @@ def min_entropy(model: SourceModel) -> float:
 
 def st2_rate(model: SourceModel) -> Probability:
     """Expected hidden bits per cover symbol for the pair scheme."""
-    square_sum = sum(p * p for p in model.probs)
-    if model.is_rational:
-        return Fraction(1, 2) * (1 - square_sum)
-    return 0.5 * (1.0 - square_sum)
+    return (1 - sum(p * p for p in model.probs)) / 2
 
 
 def expected_log_class_size(model: SourceModel, n: int) -> float:

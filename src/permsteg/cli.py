@@ -47,16 +47,15 @@ from typing import Iterator, Sequence
 import click
 
 from .alphabet import Alphabet
-from .bits import bits_to_bytes, int_from_bits, iter_bits
-from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces
+from .bits import iter_bits
+from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces, write_payload
 from .errors import InvalidBlockLength, PermstegError, UnknownSymbol
 
 # The benchmark's tracer (bench/tracing.py) wraps these names in this module.
 # The commands no longer call them: they stream through the *_pieces generators,
-# and extract reads the frame header from the stream as it goes.
-from .bits import bytes_to_bits  # noqa: F401
-from .codec import unframe_bits  # noqa: F401
-from .codec import st2_embed, st2_extract, stn_embed, stn_extract  # noqa: F401
+# and extract unframes and packs its bits in codec.write_payload.
+from .bits import bits_to_bytes, bytes_to_bits  # noqa: F401
+from .codec import st2_embed, st2_extract, stn_embed, stn_extract, unframe_bits  # noqa: F401
 
 EXIT_IO = 2
 EXIT_UNKNOWN_SYMBOL = 3
@@ -126,14 +125,6 @@ def _hidden_bits(fh, frame_length: bool) -> tuple[Iterator[int], int]:
         return iter_bits(payload), 8 * len(payload)
     chunks = iter(functools.partial(fh.read, _READ_BATCH_BYTES), b"")
     return chain.from_iterable(map(iter_bits, chunks)), 0
-
-
-def _write_bytes(fh, bits: bytearray) -> None:
-    """Write the whole bytes of ``bits`` to an open binary file and keep the rest."""
-    whole = len(bits) - len(bits) % 8
-    if whole:
-        fh.write(bits_to_bytes(bits[:whole]))
-        del bits[:whole]
 
 
 def _write_tokens(fh, tokens: Sequence[str]) -> None:
@@ -273,36 +264,12 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
     alphabet = Alphabet.from_file(alphabet_path)
     if scheme == "st2":
         block_size = 2
-    # The bits at stream offsets [start, stop) are written: unframed all of
-    # them, framed the payload after the 32-bit header, once the header is in.
-    start, stop = (32, None) if frame_length else (0, sys.maxsize)
-    header = bytearray()
-    pending = bytearray()  # bits to write that do not fill a byte yet
-    recovered = 0  # the stream offset of the next piece's bits
     with open(stego_path, "r", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
         out = _HeldOut(stack, out_path)
         stego = _TokenStream(fh)
-        for piece in stn_extract_pieces(stego, block_size, alphabet):
-            bits = piece.bits
-            if stop is None:
-                header.extend(bits[: 32 - len(header)])
-                if len(header) == 32:
-                    stop = 32 + 8 * int_from_bits(header)
-            if stop is not None:
-                pending.extend(bits[max(start - recovered, 0) : max(stop - recovered, 0)])
-                _write_bytes(out, pending)
-            recovered += len(bits)
-        if frame_length:
-            if stop is None:
-                raise ValueError(f"framed stream needs >= 32 bits, got {recovered}")
-            if recovered < stop:
-                raise ValueError(
-                    f"framed stream truncated: header says {(stop - 32) // 8} bytes, "
-                    f"only {(recovered - 32) // 8} available"
-                )
-        out.write(bits_to_bytes(pending))
+        pieces = (piece.bits for piece in stn_extract_pieces(stego, block_size, alphabet))
+        recovered, payload_bits = write_payload(pieces, frame_length, out.write)
         out.check()
-    payload_bits = stop - 32 if frame_length else recovered
     _emit({
         "scheme": scheme,
         "stego_symbols": stego.count,

@@ -73,7 +73,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
 # bits_from_int, decode_index, encode_index, expand and sample_delta go
@@ -455,13 +455,44 @@ def frame_payload(payload: bytes) -> bytes:
 
 def unframe_bits(bits: Sequence[int]) -> bytes:
     """Recover a framed payload from extracted bits; surplus bits are padding."""
-    if len(bits) < 32:
-        raise ValueError(f"framed stream needs >= 32 bits, got {len(bits)}")
-    length = int_from_bits(bits[:32])
-    need = 32 + 8 * length
-    if len(bits) < need:
+    out = bytearray()
+    write_payload([bits], True, out.extend)
+    return bytes(out)
+
+
+def write_payload(
+    pieces: Iterable[Sequence[int]], framed: bool, write: Callable[[bytes], object]
+) -> tuple[int, int]:
+    """Pass the payload in a stream of extracted bit pieces to ``write``, as bytes.
+
+    Unframed, the payload is every bit; framed, the frame after its 32-bit
+    length header (ValueError if the stream is shorter). Whole bytes go out
+    per piece, a final partial byte zero-padded. Returns (bits read, payload bits).
+    """
+    # payload bits lie at stream offsets [start, stop); framed, stop comes with the header
+    start, stop = (32, None) if framed else (0, sys.maxsize)
+    # lists, not bytearrays, so a bad item meets int_from_bits' check and message
+    header: list[int] = []
+    pending: list[int] = []  # payload bits that do not fill a byte yet
+    read = 0  # the stream offset of the next piece's bits
+    for bits in pieces:
+        if stop is None:
+            header += bits[: 32 - len(header)]
+            if len(header) == 32:
+                stop = 32 + 8 * int_from_bits(header)
+        if stop is not None:
+            pending += bits[max(start - read, 0) : max(stop - read, 0)]
+            whole = len(pending) - len(pending) % 8
+            if whole:
+                write(bits_to_bytes(pending[:whole]))
+                del pending[:whole]
+        read += len(bits)
+    if framed and stop is None:
+        raise ValueError(f"framed stream needs >= 32 bits, got {read}")
+    if framed and read < stop:
         raise ValueError(
-            f"framed stream truncated: header says {length} bytes, "
-            f"only {(len(bits) - 32) // 8} available"
+            f"framed stream truncated: header says {(stop - 32) // 8} bytes, "
+            f"only {(read - 32) // 8} available"
         )
-    return bits_to_bytes(bits[32:need])
+    write(bits_to_bytes(pending))
+    return read, (stop - 32 if framed else read)

@@ -15,6 +15,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .alphabet import Alphabet, symbol_alphabet
@@ -48,22 +49,17 @@ class SourceModel:
             )
         if any(p <= 0 for p in self.probs):
             raise InvalidModel("all probabilities must be strictly positive")
-        exact = all(isinstance(p, (Fraction, int)) for p in self.probs)
-        total = sum(map(Fraction, self.probs))
-        if exact:
+        cumulative = list(accumulate(map(Fraction, self.probs)))
+        total = cumulative[-1]
+        if self.is_rational:
             if total != 1:
                 raise InvalidModel(f"probabilities sum to {total}, expected exactly 1")
         elif abs(total - 1) > _FLOAT_SUM_TOL:
             raise InvalidModel(f"probabilities sum to {float(total)}, expected 1")
-        running = Fraction(0)
-        cum = []
-        for p in self.probs:
-            running += Fraction(p)
-            cum.append(float(running))
         # Sentinel keeps inverse-CDF search inside range without clamping;
         # the last boundary is 1 (exactly, for rational models) anyway.
-        cum[-1] = float("inf")
-        object.__setattr__(self, "_cum", tuple(cum))
+        cum = tuple(map(float, cumulative[:-1])) + (float("inf"),)
+        object.__setattr__(self, "_cum", cum)
 
     @property
     def is_rational(self) -> bool:

@@ -33,6 +33,7 @@ from permsteg import (
     two_point_model,
     uniform_model,
 )
+from permsteg.analysis import _chi2_sf
 
 from oracles import product_law
 
@@ -111,6 +112,35 @@ class TestChiSquare:
         stat, p = chi_square_gof(observed, expected)
         assert stat == pytest.approx(16 / 24 + 9 / 24 + 1 / 16, rel=1e-12)
         assert p == float(chi2.sf(stat, 2))
+
+    @staticmethod
+    def _worst_relative_error(xs, dfs):
+        """Largest relative error of _chi2_sf against scipy where scipy's tail is > 1e-300."""
+        references = chi2.sf(xs, dfs)
+        compared = [
+            abs(_chi2_sf(x, df) - float(ref)) / float(ref)
+            for x, df, ref in zip(xs, dfs, references)
+            if ref > 1e-300
+        ]
+        assert len(compared) > len(xs) // 2
+        return max(compared)
+
+    def test_tail_matches_scipy_on_small_df_grid(self):
+        # every df from 1 to 60, both parities, x from 0.05 to 200
+        points = [(0.05 * i, df) for df in range(1, 61) for i in range(1, 4001, 7)]
+        xs, dfs = zip(*points)
+        assert self._worst_relative_error(xs, dfs) < 1e-10
+
+    def test_tail_matches_scipy_at_random_large_df(self):
+        rng = random.Random(17)
+        dfs = [rng.randint(1, 5000) for _ in range(400)]
+        xs = [rng.uniform(0, 3 * df + 50) for df in dfs]
+        assert self._worst_relative_error(xs, dfs) < 1e-10
+
+    def test_tail_is_one_at_and_below_zero(self):
+        for df in (1, 2, 3, 60, 5000):
+            assert _chi2_sf(0.0, df) == 1.0
+            assert _chi2_sf(-2.5, df) == 1.0
 
     def test_degenerate_cells(self):
         with pytest.raises(DegenerateCells):

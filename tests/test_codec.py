@@ -780,3 +780,11 @@ class TestFraming:
             unframe_bits([0] * 16)
         with pytest.raises(ValueError):
             unframe_bits(bytes_to_bits(frame_payload(b"abc"))[:-9])
+
+    @pytest.mark.parametrize("bad", [2, 300, 1.0, "1"])
+    @pytest.mark.parametrize("at", [0, 40], ids=["header", "payload"])
+    def test_unframe_names_a_non_bit(self, bad, at):
+        bits = bytes_to_bits(frame_payload(b"ab"))
+        bits[at] = bad
+        with pytest.raises(ValueError, match=re.escape(f"bit must be 0 or 1, got {bad!r}")):
+            unframe_bits(bits)

@@ -2,12 +2,13 @@
 
 ``permsteg/__init__`` does not import every submodule (``cli`` in
 particular), so a module that fails at import time would otherwise show up
-only as a collection error in whichever test file imports it. Importing the
-package or its command line must not load scipy or numpy, which only the
-chi-square checks use and which dominate start-up time when loaded. Nor may
-it load the analysis suite, the simulated sources or ``fractions``: the
-package exports their names lazily, and only the commands that use them
-import them, so ``embed`` and ``extract`` do not pay for them.
+only as a collection error in whichever test file imports it. Nothing in
+the package may load scipy or numpy: they are not runtime dependencies (the
+chi-square tail is a stdlib sum), and they would dominate start-up time.
+Nor may importing the package or its command line load the analysis suite,
+the simulated sources or ``fractions``: the package exports their names
+lazily, and only the commands that use them import them, so ``embed`` and
+``extract`` do not pay for them.
 """
 
 import importlib
@@ -57,6 +58,39 @@ def test_import_loads_neither_scipy_nor_numpy(name):
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'numpy')))"
     )
     assert _fresh(code).strip() == "[]"
+
+
+def test_chi_square_runs_with_scipy_blocked(tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("a 0.5\nb 0.3\nc 0.2\n")
+    code = textwrap.dedent(f"""
+        import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from click.testing import CliRunner
+        from permsteg.analysis import chi_square_gof
+        from permsteg.cli import main
+        _, p = chi_square_gof({{"a": 40, "b": 60}}, {{"a": 0.5, "b": 0.5}})
+        result = CliRunner().invoke(main, [
+            "analyze", "--model", {str(model)!r}, "-n", "3",
+            "--mode", "empirical", "--samples", "2000",
+        ])
+        print(json.dumps({{
+            "p": p,
+            "exit_code": result.exit_code,
+            "exception": repr(result.exception),
+            "report_p": json.loads(result.output)["distribution"]["p_value"]
+            if result.exit_code == 0 else None,
+            "loaded": sorted(
+                m for m, v in sys.modules.items()
+                if v is not None and m.partition(".")[0] in ("scipy", "numpy")
+            ),
+        }}))
+    """)
+    out = json.loads(_fresh(code))
+    assert out["exit_code"] == 0, out["exception"]
+    assert 0.0 < out["p"] <= 1.0
+    assert 0.0 < out["report_p"] <= 1.0
+    assert out["loaded"] == []
 
 
 @pytest.mark.parametrize("name", ["permsteg", "permsteg.cli"])
