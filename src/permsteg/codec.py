@@ -18,8 +18,8 @@ The pair scheme (``st2_*``) is the block scheme at n = 2. A pair's class
 has 1 word (equal letters) or 2, both powers of two, so no payload length is
 ever drawn: an equal pair passes through, and a distinct pair carries one
 bit, re-emitted in ascending canonical order for 0 and descending for 1.
-The generators run pairs through a loop of their own that compares tokens as
-strings (canonical order) instead of ranking them.
+Pairs run through a loop of their own that branches on the tokens' string
+order (canonical order) instead of ranking them.
 
 When the caller's payload runs out mid-stream, further payload bits are
 drawn from a dedicated padding generator and counted separately, which
@@ -28,10 +28,12 @@ payload; it returns every bit the embedder consumed, in order.
 
 Payload bits are pulled from the caller's iterable in windows of 64 (or as
 many as one block needs, when that is more), and each window parses through
-``bits.int_from_bits``. A bit other than 0 or 1 (bools count as 0 and 1)
-raises ValueError naming the item when its window is pulled, which can be
-up to 63 bits before the block that would read it, and up to 63 bits past
-the last one read may have been taken from the caller's iterator.
+``bits.int_from_bits``. The pair loop reads the window in locals, and draws
+its padding as one ``getrandbits(1)`` per distinct pair. A bit other than 0
+or 1 (bools count as 0 and 1) raises ValueError naming the item when its
+window is pulled, which can be up to 63 bits before the block that would
+read it, and up to 63 bits past the last one read may have been taken from
+the caller's iterator.
 
 ``_pieces`` is the one owner of the codec's input rules: n >= 2, an
 alphabet of at least 2 symbols, and known tokens. It takes each piece (see
@@ -127,8 +129,7 @@ class ExtractTrace(NamedTuple):
 
 
 # A pair carries no bit (equal letters, class size 1) or one bit b, which is
-# also its index in a class of 2; so each side of the pair loop has three
-# possible records, indexed here by 0 (no bit) and 1 + b.
+# also its index in a class of 2: records for no bit, b = 0 and b = 1.
 _PAIR_EMBED_RECORD = ((1, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 1))
 _PAIR_EXTRACT_RECORD = ((0, 0, 0), (1, 0, 0), (1, 1, 1))
 
@@ -196,6 +197,8 @@ class _BitFeed:
     A window of bits is pulled from the caller's iterator before any of them
     is read, so a bad bit raises when its window is pulled, and up to
     ``_WINDOW_BITS - 1`` pulled bits may be left unread when a stream ends.
+    The pair loop reads ``next_window``'s windows in locals, each padding bit
+    one ``getrandbits(1)``, and hands their unread bits back before a piece.
     """
 
     __slots__ = ("_iter", "_rng", "_window", "_avail", "_pulled", "padding")
@@ -241,6 +244,12 @@ class _BitFeed:
         self.padding += need
         return (value << need) | self._rng.getrandbits(need)
 
+    def next_window(self) -> tuple[int, int]:
+        """Next (bits, count) window once the last is read: caller's bits, else a padding bit."""
+        self._avail = 0
+        bit = self._read_past_window(1)
+        return (self._window, self._avail + 1) if self._avail else (bit, 1)
+
 
 def _pieces(
     stream: Iterable[str], n: int, alphabet: Alphabet, piece_symbols: int
@@ -280,6 +289,7 @@ def _stn_embed(
 ) -> Iterator[EmbedResult]:
     feed = _BitFeed(hidden, padding_rng)
     read_int = feed.read_int
+    same, zero, one = _PAIR_EMBED_RECORD
     getrandbits = delta_rng.getrandbits
     # [size, draw width or 0 for a power of two, member table or None above
     # _MEMBER_TABLE_MAX_CLASS, sorted key] per class; see above
@@ -292,20 +302,24 @@ def _stn_embed(
         records: list[tuple[int, int, int, int]] = []
         if n == 2:
             # a pair class has 1 or 2 words, so no payload length is drawn
+            window, avail = feed._window, feed._avail
             for x, y in blocks:
                 if x == y:
-                    out.append(x)
-                    out.append(y)
-                    records.append(_PAIR_EMBED_RECORD[0])
+                    records.append(same)
                 else:
-                    bit = read_int(1)
-                    if bit == (x > y):  # ascending for 0, descending for 1
-                        out.append(x)
-                        out.append(y)
+                    if x > y:
+                        x, y = y, x
+                    if not avail:
+                        window, avail = feed.next_window()
+                    avail -= 1
+                    if window >> avail & 1:  # ascending for 0, descending for 1
+                        x, y = y, x
+                        records.append(one)
                     else:
-                        out.append(y)
-                        out.append(x)
-                    records.append(_PAIR_EMBED_RECORD[1 + bit])
+                        records.append(zero)
+                out.append(x)
+                out.append(y)
+            feed._window, feed._avail = window, avail
         else:
             for block in blocks:
                 entry = memo.get(block)
@@ -350,17 +364,20 @@ def _stn_extract(
     piece_symbols: int, stego: Iterable[str], n: int, alphabet: Alphabet
 ) -> Iterator[ExtractResult]:
     decoded: dict[tuple[str, ...], tuple[int, int, int]] = {}
+    same, zero, one = _PAIR_EXTRACT_RECORD
     for blocks, _ in _pieces(stego, n, alphabet, piece_symbols):  # a partial block has no bits
         bits = bytearray()
         records: list[tuple[int, int, int]] = []
         if n == 2:
             for x, y in blocks:
                 if x == y:
-                    records.append(_PAIR_EXTRACT_RECORD[0])
+                    records.append(same)
+                elif x > y:
+                    bits.append(1)
+                    records.append(one)
                 else:
-                    bit = x > y
-                    bits.append(bit)
-                    records.append(_PAIR_EXTRACT_RECORD[1 + bit])
+                    bits.append(0)
+                    records.append(zero)
         else:
             window = 1  # a leading 1, then the block values not yet in ``bits``
             for block in blocks:

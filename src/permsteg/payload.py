@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 
 def _positive(value: int) -> int:
     """``value`` itself, once checked to be an int >= 1 (bools are not)."""
+    if type(value) is int and value >= 1:  # bools and other subclasses take the full check
+        return value
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise NonPositive(f"expected a positive integer, got {value!r}")
     return value

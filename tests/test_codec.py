@@ -610,13 +610,21 @@ class TestConsumedBits:
 
 
 class _PerBitFeed:
-    """The payload feed read one bit at a time: the reference for the window."""
+    """The payload feed read one bit at a time: the reference for the window.
+
+    Its ``next_window`` serves the pair loop one bit per window, the padding
+    bits each drawn as ``getrandbits(1)``.
+    """
 
     def __init__(self, bits, padding_rng):
         self._iter = iter(bits)
         self._rng = padding_rng
+        self._window = self._avail = 0
         self.genuine = 0
         self.padding = 0
+
+    def next_window(self):
+        return self.read_int(1), 1
 
     def read_int(self, count):
         value = 0
@@ -663,21 +671,25 @@ class TestBitWindow:
         )
 
     @pytest.mark.parametrize("length", [63, 64, 65, 130])
-    @pytest.mark.parametrize("k, n", [(8, 4), (16, 16), (64, 64)])
+    @pytest.mark.parametrize("k, n", [(8, 2), (8, 4), (16, 16), (64, 64)])
     def test_payload_running_out_matches_per_bit_feed(self, monkeypatch, length, k, n):
-        cover, alphabet = self._cover(k, n, 100, seed=length * k + 6)
+        cover, alphabet = self._cover(k, n, 300 if n == 2 else 100, seed=length * k + 6)
         hidden = draw_hidden_bits(length, random.Random(length))
         window = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
-        # the payload runs out inside a block, which then takes padding too
-        ends = list(accumulate(rec.delta for rec in window.trace))
-        assert any(start < length < end for start, end in zip([0] + ends, ends))
+        if n == 2:
+            assert st2_embed(cover, hidden, alphabet, random.Random(2)) == window
+        else:
+            # the payload runs out inside a block, which then takes padding too
+            ends = list(accumulate(rec.delta for rec in window.trace))
+            assert any(start < length < end for start, end in zip([0] + ends, ends))
         monkeypatch.setattr(permsteg.codec, "_BitFeed", _PerBitFeed)
         per_bit = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
         assert window.bits_embedded == per_bit.bits_embedded == length
         assert window.padding_bits == per_bit.padding_bits > 0
         assert window.stego == per_bit.stego
+        assert window.records == per_bit.records
 
-    @pytest.mark.parametrize("k, n", [(8, 4), (64, 64)])
+    @pytest.mark.parametrize("k, n", [(8, 2), (8, 4), (64, 64)])
     def test_unread_window_bits_not_counted(self, monkeypatch, k, n):
         cover, alphabet = self._cover(k, n, 50)
         hidden = draw_hidden_bits(50 * n * 8, random.Random(k))
@@ -692,9 +704,32 @@ class TestBitWindow:
         assert window.padding_bits == 0
         assert window.bits_embedded == sum(rec.delta for rec in window.trace)
         assert 0 <= len(pulled) - window.bits_embedded < 64
+        if n == 2:
+            del pulled[:]
+            assert st2_embed(cover, counted(), alphabet, random.Random(2)) == window
+            assert 0 <= len(pulled) - window.bits_embedded < 64
         monkeypatch.setattr(permsteg.codec, "_BitFeed", _PerBitFeed)
         per_bit = stn_embed(cover, hidden, n, alphabet, *rngs(1, 2))
         assert (window.stego, window.bits_embedded) == (per_bit.stego, per_bit.bits_embedded)
+
+    @pytest.mark.parametrize("length", [30, 64, 150])
+    def test_pair_window_spans_pieces(self, monkeypatch, length):
+        # pieces of 8 pairs carry at most 8 bits each, so one 64-bit window
+        # serves several pieces, and the payload runs out inside a piece
+        cover, alphabet = self._cover(8, 2, 400, seed=length)
+        hidden = draw_hidden_bits(length, random.Random(length))
+        whole = stn_embed(cover, hidden, 2, alphabet, *rngs(1, 2))
+        assert whole.bits_embedded == length and whole.padding_bits > 0
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 16)
+        for feed in (permsteg.codec._BitFeed, _PerBitFeed):
+            monkeypatch.setattr(permsteg.codec, "_BitFeed", feed)
+            pieces = list(stn_embed_pieces(cover, hidden, 2, alphabet, *rngs(1, 2)))
+            assert len(pieces) == 51  # the last one empty
+            assert any(piece.bits_embedded and piece.padding_bits for piece in pieces)
+            assert sum((piece.stego for piece in pieces), ()) == whole.stego
+            assert sum((piece.records for piece in pieces), ()) == whole.records
+            assert sum(piece.bits_embedded for piece in pieces) == length
+            assert sum(piece.padding_bits for piece in pieces) == whole.padding_bits
 
 
 def _reference_traces(stego, n):

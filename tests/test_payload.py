@@ -42,9 +42,16 @@ class TestExpand:
             expected_payload_bits,
         )
         for call in calls:
-            for bad in (0, -1, -3, 2.5, True, False, "6", None):
-                with pytest.raises(NonPositive):
+            for bad in (0, -1, -3, 2.5, 2.0, True, False, "6", None):
+                with pytest.raises(NonPositive, match=f"^expected a positive integer, got {bad!r}$"):
                     call(bad)
+
+    def test_positive_int_subclass_accepted(self):
+        class Size(int):
+            pass
+
+        assert expand(Size(6)) == expand(6) == (2, 1)
+        assert decode_index(Size(6), 5) == decode_index(6, 5)
 
     @given(st.integers(min_value=1, max_value=10**30))
     def test_digits_reconstruct_value(self, value):
