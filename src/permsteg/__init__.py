@@ -9,10 +9,13 @@ an analysis suite that verifies the distribution claim exactly on small
 instances and measures hiding rates against their theoretical bounds.
 
 The codec's names import with the package; the names of the analysis suite
-and the simulated sources import their module on first access.
+and the simulated sources import their module on first access. A public
+name is added in one place, an eager import below or ``_LAZY_MODULES``, and
+``__all__`` is derived from the two.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .alphabet import (
     Alphabet,
@@ -96,75 +99,12 @@ _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "Block",
-    "BlockTrace",
-    "DegenerateCells",
-    "DistributionReport",
-    "EmbedResult",
-    "EmptyTrace",
-    "ExtractResult",
-    "ExtractTrace",
-    "IndexOutOfRange",
-    "InvalidAlphabet",
-    "InvalidBlockLength",
-    "InvalidDelta",
-    "InvalidModel",
-    "NonPositive",
-    "PayloadOutOfRange",
-    "PermstegError",
-    "RateBound",
-    "RateReport",
-    "SourceModel",
-    "SpaceTooLarge",
-    "Token",
-    "UnknownSymbol",
-    "bits_from_int",
-    "bits_to_bytes",
-    "block_distribution",
-    "bytes_to_bits",
-    "chi_square_gof",
-    "decode_index",
-    "draw_cover",
-    "draw_hidden_bits",
-    "empirical_distribution_report",
-    "empirical_rate",
-    "encode_index",
-    "exact_distribution_report",
-    "exact_output_distribution",
-    "expand",
-    "expected_log_class_size",
-    "expected_payload_bits",
-    "frame_payload",
-    "hidden_bit_stream",
-    "int_from_bits",
-    "iter_bits",
-    "load_model",
-    "measure_stn_rate",
-    "min_entropy",
-    "model_digest",
-    "multinomial",
-    "rank_indices",
-    "rate_lower_bound",
-    "sample_delta",
-    "save_model",
-    "shannon_entropy",
-    "sorted_class_size",
-    "st2_embed",
-    "st2_extract",
-    "st2_rate",
-    "stn_embed",
-    "stn_embed_pieces",
-    "stn_extract",
-    "stn_extract_pieces",
-    "symbol_alphabet",
-    "two_point_model",
-    "uniform_model",
-    "unframe_bits",
-    "unrank_indices",
-    "zipf_model",
-]
+# The imports above also bind the submodules' names, so modules are left out.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LAZY)
+)
 
 
 def __getattr__(name: str):

@@ -271,6 +271,7 @@ def empirical_distribution_report(
     seed_padding: int,
 ) -> DistributionReport:
     """Embed ``blocks`` blocks of fresh cover and test the output empirically."""
+    _guard_space(len(model.alphabet), n)
     result, seeds = _seeded_embed(
         model, n, blocks * n, seed_source, seed_hidden, seed_delta, seed_padding
     )
@@ -341,15 +342,20 @@ def rate_lower_bound(
 ) -> RateBound:
     """The hiding-rate lower bound (E[log2 class size] - 2) / n.
 
-    Enumerates compositions exactly when their number is manageable,
-    otherwise Monte-Carlo estimates the expectation from sampled blocks and
-    reports the standard error (scaled by 1/n like the bound itself).
+    Enumerates compositions exactly when at most ``enumeration_limit`` of
+    them exist, otherwise Monte-Carlo estimates the expectation from
+    ``samples`` (at least 2) sampled blocks and reports the standard error,
+    scaled by 1/n like the bound itself. Raises ValueError unless n >= 1.
     """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
     k = len(model.alphabet)
     composition_count = math.comb(n + k - 1, k - 1)
     if composition_count <= enumeration_limit:
         value = (expected_log_class_size(model, n) - 2.0) / n
         return RateBound(value=value, std_error=0.0, mode="exact", samples=0)
+    if samples < 2:
+        raise ValueError(f"a Monte-Carlo bound needs samples >= 2, got {samples}")
     if rng is None:
         rng = random.Random(0)
     draw = model.draw_index

@@ -6,7 +6,8 @@ are raw bytes consumed MSB-first. All randomness is seeded explicitly, so
 identical invocations produce byte-identical outputs and reports.
 
 Exit codes: 0 success, 2 I/O failure, 3 unknown symbol in a stream,
-4 invalid configuration (including exact-mode spaces beyond the guard).
+4 invalid configuration (including, in either ``analyze`` mode, an outcome
+space beyond the enumeration guard, before anything is embedded).
 Exit 2 is also click's own code for usage errors, such as a missing or
 unknown option; those print click's ``Error: ...`` usage message instead
 of an ``error: ...`` line.
@@ -326,6 +327,7 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
 
     from .analysis import (
         _empirical_reports,
+        _guard_space,
         exact_distribution_report,
         measure_stn_rate,
         min_entropy,
@@ -339,12 +341,13 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
     if block_size < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
     seeds = (seed_source, seed_hidden, seed_delta, seed_padding)
+    # both modes enumerate the outcome space, so check it before any work
+    _guard_space(len(model.alphabet), block_size)
+    bound = rate_lower_bound(model, block_size)
     if mode == "exact":
         dist = exact_distribution_report(model, block_size)
-        bound = rate_lower_bound(model, block_size)
         rate = measure_stn_rate(model, block_size, samples * block_size, *seeds, bound=bound)
     else:
-        bound = rate_lower_bound(model, block_size)
         # the two reports embed the same cover, so they share one embed
         dist, rate = _empirical_reports(model, block_size, samples, *seeds, bound=bound)
     payload = {

@@ -219,6 +219,20 @@ class TestRateLowerBound:
     def test_may_be_negative_for_small_blocks(self):
         assert rate_lower_bound(M_73, 2).value < 0
 
+    @pytest.mark.parametrize("enumeration_limit", [0, 200_000])
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_block_length_below_one_rejected(self, n, enumeration_limit):
+        # n = -1 used to return a bound above log2 k, n = 0 to divide by zero
+        with pytest.raises(ValueError, match=r"^block length must be >= 1$"):
+            rate_lower_bound(uniform_model(3), n, enumeration_limit=enumeration_limit)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_monte_carlo_needs_two_samples(self, samples):
+        with pytest.raises(ValueError, match="samples >= 2"):
+            rate_lower_bound(uniform_model(3), 4, samples=samples, enumeration_limit=0)
+        # the exact path draws no samples, so it takes any count
+        assert rate_lower_bound(uniform_model(3), 4, samples=samples).mode == "exact"
+
 
 class TestEmpiricalRate:
     def test_all_same_letter_blocks_rate_zero(self):

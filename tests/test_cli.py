@@ -15,6 +15,7 @@ import permsteg.cli
 import permsteg.codec
 from permsteg import (
     Alphabet,
+    SpaceTooLarge,
     bits_to_bytes,
     bytes_to_bits,
     empirical_distribution_report,
@@ -640,6 +641,29 @@ class TestAnalyze:
             "--block-size", "13", "--mode", "exact",
         ])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("mode", ["exact", "empirical"])
+    def test_space_guard_before_any_work(self, runner, workdir, monkeypatch, mode):
+        # beyond the guard, analyze exits 4 before it estimates the rate bound
+        # or embeds anything, and so does the library's empirical report
+        calls = []
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("stn_embed", "rate_lower_bound"):
+            monkeypatch.setattr(permsteg.analysis, name, counted(name, getattr(permsteg.analysis, name)))
+        result = runner.invoke(main, [
+            "analyze", "--model", str(workdir / "model.txt"),
+            "--block-size", "13", "--mode", mode,
+        ])
+        assert result.exit_code == 4
+        assert "exceeds the exact-enumeration guard" in result.output
+        assert calls == []
+        model = load_model(workdir / "model.txt")
+        with pytest.raises(SpaceTooLarge):
+            empirical_distribution_report(model, 13, 1000, 5, 6, 7, 8)
+        assert calls == []
 
     def test_empirical_mode_embeds_once(self, runner, workdir, monkeypatch):
         # the distribution and rate reports come from one embed, and each

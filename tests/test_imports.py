@@ -124,6 +124,29 @@ def test_exported_names_are_their_home_modules_objects():
     assert json.loads(_fresh(code)) == {"wrong": [], "dir_lacks": []}
 
 
+def test_star_import_binds_exactly_all():
+    # the one consumer that reads __all__ itself; in a fresh interpreter, so
+    # the lazy names resolve here and load their modules
+    code = textwrap.dedent("""
+        import json, sys
+        before = set(globals()) | {"before"}
+        from permsteg import *
+        bound = set(globals()) - before
+        import permsteg
+        print(json.dumps({
+            "bound": sorted(bound),
+            "not_identical": [
+                name for name in bound if globals()[name] is not getattr(permsteg, name)
+            ],
+            "loaded": [m for m in ("permsteg.analysis", "permsteg.sources") if m in sys.modules],
+        }))
+    """)
+    out = json.loads(_fresh(code))
+    assert out["bound"] == sorted(importlib.import_module("permsteg").__all__)
+    assert out["not_identical"] == []
+    assert out["loaded"] == ["permsteg.analysis", "permsteg.sources"]
+
+
 def test_every_exported_name_resolves():
     package = importlib.import_module("permsteg")
     exported = package.__all__
