@@ -28,12 +28,13 @@ payload; it returns every bit the embedder consumed, in order.
 
 Payload bits are pulled from the caller's iterable in windows of 64 (or as
 many as one block needs, when that is more), and each window parses through
-``bits.int_from_bits``. The pair loop reads the window in locals, and draws
-its padding as one ``getrandbits(1)`` per distinct pair. A bit other than 0
-or 1 (bools count as 0 and 1) raises ValueError naming the item when its
-window is pulled, which can be up to 63 bits before the block that would
-read it, and up to 63 bits past the last one read may have been taken from
-the caller's iterator.
+``bits.int_from_bits``. Both loops read that window, held in the embed
+generator's locals, with a shift and a mask; a read past it calls
+``_BitFeed.pull``, which draws each padded read as one ``getrandbits(count)``
+(one bit per distinct pair). A bit other than 0 or 1 (bools count as 0
+and 1) raises ValueError naming the item when its window is pulled, which
+can be up to 63 bits before the block that would read it, and up to 63 bits
+past the last one read may have been taken from the caller's iterator.
 
 ``_pieces`` is the one owner of the codec's input rules: n >= 2, an
 alphabet of at least 2 symbols, and known tokens. It takes each piece (see
@@ -58,7 +59,7 @@ tuple for every block with the same record. ``trace`` builds the
 ``BlockTrace``/``ExtractTrace`` records from them when it is read.
 
 Each direction is one generator that keeps one state for the whole stream
-(bit feed, random generators, class table, decode map) and yields an
+(bit window and feed, random generators, class table, decode map) and yields an
 ``EmbedResult`` or ``ExtractResult`` per piece of whole blocks; only the
 last piece holds a trailing partial block. The ``*_pieces`` functions yield
 pieces of at most ``_PIECE_SYMBOLS`` symbols, and the caches are capped in
@@ -194,61 +195,44 @@ _WINDOW_BITS = 64
 class _BitFeed:
     """Payload bits: the caller's stream first, then seeded padding bits.
 
-    A window of bits is pulled from the caller's iterator before any of them
-    is read, so a bad bit raises when its window is pulled, and up to
+    The embed generator keeps the window of pulled bits in its locals and
+    reads it with a shift and a mask; ``pull`` serves any read past it. The
+    caller's bits are pulled a window at a time, before any of them is read,
+    so a bad bit raises when its window is pulled, and up to
     ``_WINDOW_BITS - 1`` pulled bits may be left unread when a stream ends.
-    The pair loop reads ``next_window``'s windows in locals, each padding bit
-    one ``getrandbits(1)``, and hands their unread bits back before a piece.
+    Each padded read is one ``getrandbits(count)``.
     """
 
-    __slots__ = ("_iter", "_rng", "_window", "_avail", "_pulled", "padding")
+    __slots__ = ("_iter", "_rng", "pulled", "padding")
 
     def __init__(self, bits: Iterable[int], padding_rng: random.Random):
         self._iter: Iterator[int] | None = iter(bits)  # None once it ran out
         self._rng = padding_rng
-        self._window = 0  # its low ``_avail`` bits are the unread ones
-        self._avail = 0
-        self._pulled = 0
+        self.pulled = 0  # caller's bits taken; those read are pulled - avail
         self.padding = 0
 
-    @property
-    def genuine(self) -> int:
-        """Bits read from the caller's stream so far."""
-        return self._pulled - self._avail
+    def pull(self, window: int, avail: int, count: int) -> tuple[int, int, int]:
+        """(value, window, avail) for the next ``count`` bits, MSB-first.
 
-    def read_int(self, count: int) -> int:
-        """Next ``count`` bits as an MSB-first integer."""
-        avail = self._avail - count
-        if avail >= 0:
-            self._avail = avail
-            return (self._window >> avail) & ((1 << count) - 1)
-        return self._read_past_window(count)
-
-    def _read_past_window(self, count: int) -> int:
-        """The window's unread bits, then a fresh window's, then padding."""
-        need = count - self._avail
-        value = self._window & ((1 << self._avail) - 1)
-        self._avail = 0
+        The value is the window's ``avail`` unread low bits, then a fresh
+        window's, then padding; the returned window and avail hold what is
+        left unread of the fresh one.
+        """
+        need = count - avail
+        value = window & ((1 << avail) - 1)
         if self._iter is not None:
-            window = list(islice(self._iter, max(need, _WINDOW_BITS)))
-            if window:
-                fresh = int_from_bits(window)
-                self._pulled += len(window)
-                if len(window) >= need:
-                    self._window = fresh
-                    self._avail = len(window) - need
-                    return (value << need) | (fresh >> self._avail)
-                value = (value << len(window)) | fresh
-                need -= len(window)
+            bits = list(islice(self._iter, max(need, _WINDOW_BITS)))
+            if bits:
+                fresh = int_from_bits(bits)
+                self.pulled += len(bits)
+                if len(bits) >= need:
+                    avail = len(bits) - need
+                    return (value << need) | (fresh >> avail), fresh, avail
+                value = (value << len(bits)) | fresh
+                need -= len(bits)
             self._iter = None
         self.padding += need
-        return (value << need) | self._rng.getrandbits(need)
-
-    def next_window(self) -> tuple[int, int]:
-        """Next (bits, count) window once the last is read: caller's bits, else a padding bit."""
-        self._avail = 0
-        bit = self._read_past_window(1)
-        return (self._window, self._avail + 1) if self._avail else (bit, 1)
+        return (value << need) | self._rng.getrandbits(need), 0, 0
 
 
 def _pieces(
@@ -288,7 +272,8 @@ def _stn_embed(
     padding_rng: random.Random,
 ) -> Iterator[EmbedResult]:
     feed = _BitFeed(hidden, padding_rng)
-    read_int = feed.read_int
+    pull = feed.pull
+    window = avail = 0  # the bit window: its low ``avail`` bits are unread
     same, zero, one = _PAIR_EMBED_RECORD
     getrandbits = delta_rng.getrandbits
     # [size, draw width or 0 for a power of two, member table or None above
@@ -297,29 +282,29 @@ def _stn_embed(
     memo: dict[tuple[str, ...], list] = {}
     budget = _MEMBER_TABLE_BUDGET
     for blocks, tail in _pieces(cover, n, alphabet, piece_symbols):
-        genuine, padding = feed.genuine, feed.padding
+        genuine, padding = feed.pulled - avail, feed.padding
         out: list[str] = []
         records: list[tuple[int, int, int, int]] = []
         if n == 2:
             # a pair class has 1 or 2 words, so no payload length is drawn
-            window, avail = feed._window, feed._avail
             for x, y in blocks:
                 if x == y:
                     records.append(same)
                 else:
                     if x > y:
                         x, y = y, x
-                    if not avail:
-                        window, avail = feed.next_window()
                     avail -= 1
-                    if window >> avail & 1:  # ascending for 0, descending for 1
+                    if avail >= 0:
+                        bit = window >> avail & 1
+                    else:
+                        bit, window, avail = pull(window, 0, 1)
+                    if bit:  # ascending for 0, descending for 1
                         x, y = y, x
                         records.append(one)
                     else:
                         records.append(zero)
                 out.append(x)
                 out.append(y)
-            feed._window, feed._avail = window, avail
         else:
             for block in blocks:
                 entry = memo.get(block)
@@ -342,7 +327,11 @@ def _stn_embed(
                 while u >= size:
                     u = getrandbits(width)
                 d = (size ^ u).bit_length() - 1
-                r = read_int(d)
+                avail -= d
+                if avail >= 0:
+                    r = window >> avail & ((1 << d) - 1)
+                else:
+                    r, window, avail = pull(window, avail + d, d)
                 tau = size >> d >> 1 << d << 1 | r
                 if members is None:
                     out.extend(unrank_indices(key, tau, size))
@@ -357,7 +346,7 @@ def _stn_embed(
                     out.extend(word)
                 records.append((size, d, r, tau))
         out.extend(tail)  # trailing partial block, untouched
-        yield EmbedResult(tuple(out), feed.genuine - genuine, feed.padding - padding, tuple(records))
+        yield EmbedResult(tuple(out), feed.pulled - avail - genuine, feed.padding - padding, tuple(records))
 
 
 def _stn_extract(

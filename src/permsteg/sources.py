@@ -71,7 +71,7 @@ class SourceModel:
 
 
 def load_model(path) -> SourceModel:
-    """Parse a model file: ``token probability`` per line, decimal strings.
+    """Parse a model file: ``token probability`` per line, decimals or fractions.
 
     Probabilities are parsed exactly as rationals, so a loaded model always
     supports exact-arithmetic analysis.
@@ -100,10 +100,23 @@ def load_model(path) -> SourceModel:
 
 
 def save_model(model: SourceModel, path) -> None:
-    """Write a model file in the format load_model reads."""
+    """Write a model file that load_model reads back.
+
+    A rational model's probabilities are written as fractions (``7/10``). A
+    float model's are written as their reprs, but the last as the exact
+    fraction that makes the file sum to 1, so it loads as a rational model
+    within the float tolerance of this one; InvalidModel if that fraction is
+    not positive.
+    """
+    texts = [str(p) for p in model.probs]
+    if not model.is_rational:
+        last = 1 - sum(map(Fraction, texts[:-1]))
+        if last <= 0:
+            raise InvalidModel(f"the other probabilities leave {last} for the last symbol")
+        texts[-1] = str(last)
     with open(path, "w", encoding="utf-8") as fh:
-        for token, prob in zip(model.alphabet, model.probs):
-            fh.write(f"{token} {prob}\n")
+        for token, text in zip(model.alphabet, texts):
+            fh.write(f"{token} {text}\n")
 
 
 def uniform_model(alphabet: Alphabet | int) -> SourceModel:

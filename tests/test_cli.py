@@ -23,10 +23,12 @@ from permsteg import (
     load_model,
     measure_stn_rate,
     rate_lower_bound,
+    save_model,
     st2_embed,
     st2_extract,
     stn_embed,
     stn_extract,
+    zipf_model,
 )
 from permsteg.cli import main
 
@@ -634,6 +636,11 @@ class TestAnalyze:
         assert report["distribution"]["p_value"] > 1e-3
         assert report["distribution"]["seeds"]["source"] == 5
         assert report["rate"]["empirical_rate"] > 0
+
+    def test_saved_float_model(self, runner, workdir):
+        save_model(zipf_model(26), workdir / "zipf.txt")
+        result = runner.invoke(main, ["analyze", "--model", str(workdir / "zipf.txt"), "-n", "2"])
+        assert result.exit_code == 0, result.output
 
     def test_space_guard_exit_4(self, runner, workdir):
         result = runner.invoke(main, [

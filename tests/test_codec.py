@@ -476,7 +476,7 @@ class TestEmbedAgainstOracles:
             else:
                 size = multinomial(Counter(indices).values())
             d = sample_delta(size, delta_rng)
-            r = feed.read_int(d)
+            r = feed.pull(0, 0, d)[0]
             tau = encode_index(size, d, r)
             if n <= 6:
                 stego.extend(enumerate_class(block)[tau])
@@ -484,7 +484,7 @@ class TestEmbedAgainstOracles:
                 stego.extend(alphabet[i] for i in positional_unrank(sorted(indices), tau, size))
             records.append((size, d, r, tau))
         stego.extend(cover[len(cover) - len(cover) % n :])
-        return tuple(stego), tuple(records), feed.genuine, feed.padding
+        return tuple(stego), tuple(records), feed.pulled, feed.padding
 
     @staticmethod
     def _cases():
@@ -612,31 +612,27 @@ class TestConsumedBits:
 class _PerBitFeed:
     """The payload feed read one bit at a time: the reference for the window.
 
-    Its ``next_window`` serves the pair loop one bit per window, the padding
-    bits each drawn as ``getrandbits(1)``.
+    Its ``pull`` leaves no window, so the codec calls it for every read of a
+    bit or more; the padding bits of a read are drawn as one ``getrandbits``.
     """
 
     def __init__(self, bits, padding_rng):
         self._iter = iter(bits)
         self._rng = padding_rng
-        self._window = self._avail = 0
-        self.genuine = 0
+        self.pulled = 0
         self.padding = 0
 
-    def next_window(self):
-        return self.read_int(1), 1
-
-    def read_int(self, count):
+    def pull(self, window, avail, count):
         value = 0
         for taken in range(count):
             bit = next(self._iter, None)
             if bit is None:
                 pad = count - taken
                 self.padding += pad
-                return (value << pad) | self._rng.getrandbits(pad)
+                return (value << pad) | self._rng.getrandbits(pad), 0, 0
             value = (value << 1) | bit
-            self.genuine += 1
-        return value
+            self.pulled += 1
+        return value, 0, 0
 
 
 class TestBitWindow:
@@ -730,6 +726,22 @@ class TestBitWindow:
             assert sum((piece.records for piece in pieces), ()) == whole.records
             assert sum(piece.bits_embedded for piece in pieces) == length
             assert sum(piece.padding_bits for piece in pieces) == whole.padding_bits
+
+    @pytest.mark.parametrize("length", [30, 64, 150])
+    @pytest.mark.parametrize("k, n", [(8, 2), (8, 4), (16, 16)])
+    def test_each_piece_counts_the_bits_its_blocks_read(self, monkeypatch, length, k, n):
+        # a 64-bit window serves several 16-symbol pieces, and the payload
+        # runs out inside one; each piece counts exactly the bits its records
+        # read, none of the window's unread ones
+        cover, alphabet = self._cover(k, n, 800 // n, seed=length + n)
+        hidden = draw_hidden_bits(length, random.Random(length))
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 16)
+        pieces = list(stn_embed_pieces(cover, hidden, n, alphabet, *rngs(1, 2)))
+        for piece in pieces:
+            delta = sum(d for _, d, _, _ in piece.records)
+            assert piece.bits_embedded + piece.padding_bits == delta
+        assert sum(piece.bits_embedded for piece in pieces) == length
+        assert any(piece.bits_embedded and piece.padding_bits for piece in pieces)
 
 
 def _reference_traces(stego, n):

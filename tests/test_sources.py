@@ -81,6 +81,28 @@ class TestModelFiles:
         save_model(model, out)
         assert load_model(out) == model
 
+    @pytest.mark.parametrize(
+        "model",
+        [zipf_model(26), SourceModel(Alphabet(["a", "b", "c"]), (0.5, 0.3, 0.2))],
+    )
+    def test_round_trip_float(self, tmp_path, model):
+        # a float model loads back as a rational model that sums to exactly 1
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.is_rational and sum(loaded.probs) == 1
+        assert loaded.alphabet == model.alphabet
+        for exact, prob in zip(loaded.probs, model.probs):
+            assert abs(exact - Fraction(prob)) <= 1e-12
+
+    def test_float_model_with_no_room_for_the_last_symbol(self, tmp_path):
+        # sums to 1 within the float tolerance, but the others already pass 1
+        model = SourceModel(Alphabet(["a", "b", "c"]), (0.5, 0.5 + 1e-13, 1e-13))
+        path = tmp_path / "model.txt"
+        with pytest.raises(InvalidModel):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_bad_lines(self, tmp_path):
         for text in ("a 0.5\nb\n", "a 0.5\nb zero.five\n", "a 0.5\na 0.5\n",
                      "a 0.6\nb 0.3\n"):
