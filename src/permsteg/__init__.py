@@ -59,7 +59,7 @@ from .payload import (
     expected_payload_bits,
     sample_delta,
 )
-from .ranking import multinomial, rank_indices, sorted_class_size, unrank_indices
+from .ranking import rank_indices, sorted_class_size, unrank_indices
 
 # The names of the analysis suite and the simulated sources load on first
 # access (PEP 562), so importing the package or running embed and extract

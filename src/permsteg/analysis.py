@@ -27,27 +27,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Mapping
+from itertools import combinations_with_replacement, product
+from typing import Mapping
 
 from .alphabet import Block
 from .codec import EmbedResult, stn_embed
 from .errors import DegenerateCells, EmptyTrace, SpaceTooLarge
 from .payload import encode_index, expand
-from .ranking import multinomial, sorted_class_size, unrank_indices
+from .ranking import sorted_class_size, unrank_indices
 from .sources import Probability, SourceModel, draw_cover, hidden_bit_stream
 
 EXACT_SPACE_GUARD = 10**6
-
-
-def iter_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of nonnegative counts summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def _guard_space(k: int, n: int) -> None:
@@ -65,11 +55,8 @@ def block_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:
     symbols = model.alphabet.symbols
     probs = model.probs
     out: dict[Block, Probability] = {}
-    for combo in product(range(len(symbols)), repeat=n):
-        p = probs[combo[0]]
-        for i in combo[1:]:
-            p = p * probs[i]
-        out[tuple(symbols[i] for i in combo)] = p
+    for word in product(range(len(symbols)), repeat=n):
+        out[tuple(symbols[i] for i in word)] = math.prod(probs[i] for i in word)
     return out
 
 
@@ -87,16 +74,10 @@ def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probabi
     probs = model.probs
     rational = model.is_rational
     out: dict[tuple[int, ...], Probability] = {}
-    for counts in iter_compositions(n, len(model.alphabet)):
-        size = multinomial(counts)
-        ordered = [i for i, c in enumerate(counts) for _ in range(c)]
+    for ordered in combinations_with_replacement(range(len(probs)), n):
+        size = sorted_class_size(ordered)
         members = [tuple(unrank_indices(ordered, t, size)) for t in range(size)]
-        class_prob: Probability = Fraction(0) if rational else 0.0
-        for member in members:
-            p = probs[member[0]]
-            for i in member[1:]:
-                p = p * probs[i]
-            class_prob = class_prob + p
+        class_prob = sum(math.prod(probs[i] for i in member) for member in members)
         for d in expand(size):
             if rational:
                 band_prob = Fraction(1 << d, size)
@@ -320,16 +301,12 @@ def st2_rate(model: SourceModel) -> Probability:
 
 
 def expected_log_class_size(model: SourceModel, n: int) -> float:
-    """E[log2 class size] by exact enumeration over compositions."""
+    """E[log2 class size] by exact enumeration over classes (sorted words)."""
     probs = [float(p) for p in model.probs]
     total = 0.0
-    for counts in iter_compositions(n, len(probs)):
-        coefficient = multinomial(counts)
-        word_prob = 1.0
-        for p, c in zip(probs, counts):
-            if c:
-                word_prob *= p**c
-        total += coefficient * word_prob * math.log2(coefficient)
+    for ordered in combinations_with_replacement(range(len(probs)), n):
+        size = sorted_class_size(ordered)
+        total += size * math.prod(probs[i] for i in ordered) * math.log2(size)
     return total
 
 
@@ -342,16 +319,16 @@ def rate_lower_bound(
 ) -> RateBound:
     """The hiding-rate lower bound (E[log2 class size] - 2) / n.
 
-    Enumerates compositions exactly when at most ``enumeration_limit`` of
-    them exist, otherwise Monte-Carlo estimates the expectation from
-    ``samples`` (at least 2) sampled blocks and reports the standard error,
-    scaled by 1/n like the bound itself. Raises ValueError unless n >= 1.
+    Enumerates classes (sorted words) exactly when at most
+    ``enumeration_limit`` of them exist, otherwise Monte-Carlo estimates the
+    expectation from ``samples`` (at least 2) sampled blocks and reports the
+    standard error, scaled by 1/n like the bound itself. Raises ValueError
+    unless n >= 1.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
     k = len(model.alphabet)
-    composition_count = math.comb(n + k - 1, k - 1)
-    if composition_count <= enumeration_limit:
+    if math.comb(n + k - 1, k - 1) <= enumeration_limit:
         value = (expected_log_class_size(model, n) - 2.0) / n
         return RateBound(value=value, std_error=0.0, mode="exact", samples=0)
     if samples < 2:
@@ -430,18 +407,3 @@ def measure_stn_rate(
     )
     return empirical_rate(result, cover_symbols, model, n, bound=bound, seeds=seeds)
 
-
-def _empirical_reports(
-    model: SourceModel, n: int, blocks: int, *seeds: int, bound: RateBound | None = None
-) -> tuple[DistributionReport, RateReport]:
-    """empirical_distribution_report and measure_stn_rate over one embed.
-
-    Both draw the same seeded cover of ``blocks * n`` symbols and embed it
-    the same way, so one embed serves both reports. ``seeds`` are the
-    source, hidden, delta and padding seeds, in that order.
-    """
-    result, named_seeds = _seeded_embed(model, n, blocks * n, *seeds)
-    return (
-        _distribution_of(result, named_seeds, model, n, blocks),
-        empirical_rate(result, blocks * n, model, n, bound=bound, seeds=named_seeds),
-    )

@@ -19,8 +19,9 @@ length. ``embed`` reads the hidden file in chunks; framed, it reads it
 whole, since a framed payload must fit the cover. ``extract`` writes the
 whole bytes of each piece's bits and carries fewer than 8 bits to the next
 piece; framed, it reads the 32-bit header and then writes exactly the
-frame's bits. Only ``generate``, ``analyze`` and ``rates`` import the
-analysis suite and the simulated sources.
+frame's bits. ``generate`` draws and writes its cover a piece at a time.
+Only ``generate``, ``analyze`` and ``rates`` import the analysis suite and
+the simulated sources.
 
 Every output file (``--out`` and ``--report``) is written atomically: to a
 temporary file beside it, renamed into place only on success. A failure
@@ -291,14 +292,18 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
 def generate(model_path, count, seed_source, out_path) -> None:
     """Draw an i.i.d. cover stream from a source model."""
     from .analysis import model_digest
+    from .codec import _PIECE_SYMBOLS
     from .sources import draw_cover, load_model
 
     model = load_model(model_path)
     if count < 0:
         raise ValueError("--count must be >= 0")
-    cover = draw_cover(model, count, random.Random(seed_source))
+    # draw_cover takes one rng.random() per symbol, so batches drawn from one
+    # generator give the bytes of a single draw without holding the cover
+    rng = random.Random(seed_source)
     with _atomic_out(out_path) as out:
-        _write_tokens(out, cover)
+        for start in range(0, count, _PIECE_SYMBOLS):
+            _write_tokens(out, draw_cover(model, min(_PIECE_SYMBOLS, count - start), rng))
     _emit({
         "count": count,
         "model_digest": model_digest(model),
@@ -326,10 +331,11 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
     from dataclasses import asdict
 
     from .analysis import (
-        _empirical_reports,
+        _distribution_of,
         _guard_space,
+        _seeded_embed,
+        empirical_rate,
         exact_distribution_report,
-        measure_stn_rate,
         min_entropy,
         rate_lower_bound,
         shannon_entropy,
@@ -340,16 +346,18 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
     model = load_model(model_path)
     if block_size < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
-    seeds = (seed_source, seed_hidden, seed_delta, seed_padding)
     # both modes enumerate the outcome space, so check it before any work
     _guard_space(len(model.alphabet), block_size)
     bound = rate_lower_bound(model, block_size)
+    cover_symbols = samples * block_size
+    result, seeds = _seeded_embed(
+        model, block_size, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
+    )
     if mode == "exact":
         dist = exact_distribution_report(model, block_size)
-        rate = measure_stn_rate(model, block_size, samples * block_size, *seeds, bound=bound)
     else:
-        # the two reports embed the same cover, so they share one embed
-        dist, rate = _empirical_reports(model, block_size, samples, *seeds, bound=bound)
+        dist = _distribution_of(result, seeds, model, block_size, samples)
+    rate = empirical_rate(result, cover_symbols, model, block_size, bound=bound, seeds=seeds)
     payload = {
         "distribution": asdict(dist),
         "rate": asdict(rate),

@@ -57,7 +57,6 @@ small enough that chunks lose to it.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from typing import Sequence
 
@@ -72,16 +71,6 @@ _CHUNK_LIMIT = 1 << 60
 # float estimate's error far below one letter.
 _UNRANK_CHUNK_THRESHOLD = 1 << 512
 _UNRANK_CHUNK_LIMIT = 1 << 40
-
-
-def multinomial(counts) -> int:
-    """Exact multinomial coefficient (sum counts)! / prod(counts!)."""
-    total = 0
-    result = 1
-    for cnt in counts:
-        total += cnt
-        result *= math.comb(total, cnt)
-    return result
 
 
 def sorted_class_size(ordered: Sequence) -> int:

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from scipy.stats import chi2
@@ -21,6 +22,7 @@ from permsteg import (
     empirical_rate,
     exact_distribution_report,
     exact_output_distribution,
+    expected_log_class_size,
     hidden_bit_stream,
     measure_stn_rate,
     min_entropy,
@@ -32,10 +34,11 @@ from permsteg import (
     stn_embed,
     two_point_model,
     uniform_model,
+    zipf_model,
 )
 from permsteg.analysis import _chi2_sf
 
-from oracles import product_law
+from oracles import multinomial, product_law
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -218,6 +221,21 @@ class TestRateLowerBound:
 
     def test_may_be_negative_for_small_blocks(self):
         assert rate_lower_bound(M_73, 2).value < 0
+
+    @pytest.mark.parametrize("model", [M_73, zipf_model(4, 1.3)], ids=["rational", "float"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_expected_log_class_size_matches_sum_over_words(self, model, n):
+        # the class walk agrees with a sum over every word to rounding, and
+        # the exact bound is built from it
+        probs = [float(p) for p in model.probs]
+        brute = sum(
+            math.prod(probs[i] for i in word) * math.log2(multinomial(Counter(word).values()))
+            for word in product(range(len(probs)), repeat=n)
+        )
+        assert expected_log_class_size(model, n) == pytest.approx(brute, rel=1e-12)
+        bound = rate_lower_bound(model, n)
+        assert bound.mode == "exact"
+        assert bound.value == pytest.approx((brute - 2) / n, rel=1e-12)
 
     @pytest.mark.parametrize("enumeration_limit", [0, 200_000])
     @pytest.mark.parametrize("n", [0, -1, -5])

@@ -18,7 +18,9 @@ from permsteg import (
     SpaceTooLarge,
     bits_to_bytes,
     bytes_to_bits,
+    draw_cover,
     empirical_distribution_report,
+    exact_distribution_report,
     frame_payload,
     load_model,
     measure_stn_rate,
@@ -600,6 +602,32 @@ class TestGenerate:
         assert len(tokens) == 500
         assert set(tokens) <= {"a", "b", "c"}
 
+    def test_batches_write_one_draw_in_flat_memory(self, runner, workdir, monkeypatch):
+        # the cover is drawn and written a batch at a time from one seeded
+        # generator: the bytes of a single draw, in memory flat in the count
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 400)
+        model = load_model(workdir / "model.txt")
+
+        def generate(count):
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, [
+                    "generate", "--model", str(workdir / "model.txt"),
+                    "--count", str(count), "--seed-source", "9",
+                    "--out", str(workdir / "cover.txt"),
+                ])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            return top
+
+        generate(2_500)
+        expected = "".join(t + "\n" for t in draw_cover(model, 2_500, random.Random(9)))
+        assert (workdir / "cover.txt").read_text(encoding="utf-8") == expected
+        generate(20_000)  # first use settles lazily built module state
+        assert generate(80_000) <= 1.25 * generate(20_000)
+
     def test_bad_model_exit_4(self, runner, workdir):
         (workdir / "bad.txt").write_text("a 0.9\nb 0.3\n", encoding="utf-8")
         result = runner.invoke(main, [
@@ -672,14 +700,20 @@ class TestAnalyze:
             empirical_distribution_report(model, 13, 1000, 5, 6, 7, 8)
         assert calls == []
 
-    def test_empirical_mode_embeds_once(self, runner, workdir, monkeypatch):
-        # the distribution and rate reports come from one embed, and each
-        # equals what its public function returns for the same seeds
+    @pytest.mark.parametrize("mode", ["exact", "empirical"])
+    def test_analyze_embeds_once(self, runner, workdir, monkeypatch, mode):
+        # either mode measures the rate (and, empirically, the distribution)
+        # on one embed, and each report equals what its public function
+        # returns for the same seeds
         model = load_model(workdir / "model.txt")
         seeds = (5, 6, 7, 8)
         bound = rate_lower_bound(model, 3)
+        if mode == "exact":
+            distribution = exact_distribution_report(model, 3)
+        else:
+            distribution = empirical_distribution_report(model, 3, 600, *seeds)
         expected = {
-            "distribution": asdict(empirical_distribution_report(model, 3, 600, *seeds)),
+            "distribution": asdict(distribution),
             "rate": asdict(measure_stn_rate(model, 3, 1800, *seeds, bound=bound)),
         }
         calls = []
@@ -692,7 +726,7 @@ class TestAnalyze:
         monkeypatch.setattr(permsteg.analysis, "stn_embed", counting_embed)
         result = runner.invoke(main, [
             "analyze", "--model", str(workdir / "model.txt"),
-            "--block-size", "3", "--mode", "empirical", "--samples", "600",
+            "--block-size", "3", "--mode", mode, "--samples", "600",
             "--seed-source", "5", "--seed-hidden", "6",
             "--seed-delta", "7", "--seed-padding", "8",
             "--report", str(workdir / "report.json"),

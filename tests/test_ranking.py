@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from permsteg import (
     Alphabet,
     IndexOutOfRange,
-    multinomial,
     rank_indices,
     ranking,
     sorted_class_size,
@@ -23,6 +22,7 @@ from oracles import (
     brute_class_size,
     brute_rank,
     enumerate_class,
+    multinomial,
     positional_rank,
     positional_unrank,
 )
@@ -56,10 +56,11 @@ class TestClassSize:
         assert size.bit_length() == 296
 
     def test_multinomial_direct(self):
-        assert multinomial([2, 2]) == 6
-        assert multinomial([1, 1, 1]) == 6
-        assert multinomial([5]) == 1
-        assert multinomial([]) == 1
+        # the class size of a sorted word is its letter counts' multinomial
+        assert sorted_class_size(sorted("aabb")) == 6
+        assert sorted_class_size(sorted("abc")) == 6
+        assert sorted_class_size(sorted("aaaaa")) == 1
+        assert sorted_class_size(()) == 1
 
 
 class TestRankUnrank:
