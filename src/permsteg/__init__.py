@@ -67,7 +67,6 @@ from .ranking import rank_indices, sorted_class_size, unrank_indices
 _LAZY_MODULES = {
     "analysis": (
         "DistributionReport",
-        "RateBound",
         "RateReport",
         "block_distribution",
         "chi_square_gof",

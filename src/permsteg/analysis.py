@@ -16,7 +16,13 @@ embedded output against the product law (its tail a finite stdlib sum,
 
     rate(n) >= (E[log2 class_size] - 2) / n
 
-and the per-pair rate formula (1 - sum p_a^2) / 2 of the pair scheme.
+and the per-pair rate formula (1 - sum p_a^2) / 2 of the pair scheme. The
+bound is exact for every block length: a class of letter counts c_a has
+size n! / prod_a c_a!, and each c_a is Binomial(n, p_a), so by linearity
+
+    E[log2 class_size] = log2 n! - sum_a sum_{c=2..n} P(c_a = c) log2 c!
+
+in O(k n) float operations, with no walk over classes.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ EXACT_SPACE_GUARD = 10**6
 def _guard_space(k: int, n: int) -> None:
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if k**n > EXACT_SPACE_GUARD:
+    # once n reaches the guard's bit length, 2**n alone passes it, so a long
+    # block is refused before k**n is built
+    if (k >= 2 and n >= EXACT_SPACE_GUARD.bit_length()) or k**n > EXACT_SPACE_GUARD:
         raise SpaceTooLarge(
             f"outcome space {k}^{n} exceeds the exact-enumeration guard {EXACT_SPACE_GUARD}"
         )
@@ -112,16 +120,6 @@ class DistributionReport:
 
 
 @dataclass(frozen=True)
-class RateBound:
-    """Lower bound on the hiding rate, exact or Monte-Carlo estimated."""
-
-    value: float
-    std_error: float
-    mode: str  # "exact" | "monte_carlo"
-    samples: int
-
-
-@dataclass(frozen=True)
 class RateReport:
     """Measured hiding rate with its theoretical context."""
 
@@ -129,7 +127,6 @@ class RateReport:
     empirical_rate: float
     std_error: float
     bound: float
-    bound_std_error: float
     entropy: float
     min_entropy: float
     blocks_measured: int
@@ -301,53 +298,33 @@ def st2_rate(model: SourceModel) -> Probability:
 
 
 def expected_log_class_size(model: SourceModel, n: int) -> float:
-    """E[log2 class size] by exact enumeration over classes (sorted words)."""
-    probs = [float(p) for p in model.probs]
-    total = 0.0
-    for ordered in combinations_with_replacement(range(len(probs)), n):
-        size = sorted_class_size(ordered)
-        total += size * math.prod(probs[i] for i in ordered) * math.log2(size)
-    return total
+    """E[log2 class size], exact, from each letter count's binomial law.
 
-
-def rate_lower_bound(
-    model: SourceModel,
-    n: int,
-    samples: int = 100_000,
-    rng: random.Random | None = None,
-    enumeration_limit: int = 200_000,
-) -> RateBound:
-    """The hiding-rate lower bound (E[log2 class size] - 2) / n.
-
-    Enumerates classes (sorted words) exactly when at most
-    ``enumeration_limit`` of them exist, otherwise Monte-Carlo estimates the
-    expectation from ``samples`` (at least 2) sampled blocks and reports the
-    standard error, scaled by 1/n like the bound itself. Raises ValueError
-    unless n >= 1.
+    log2 N = log2 n! - sum_a log2 c_a!, and each count c_a is Binomial(n,
+    p_a), so E[log2 N] = log2 n! - sum_a sum_{c=2..n} P(c_a = c) log2 c!.
+    Each pmf term is taken in log space, so no n! or p^c leaves float
+    range at large n. Raises ValueError unless n >= 1.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    k = len(model.alphabet)
-    if math.comb(n + k - 1, k - 1) <= enumeration_limit:
-        value = (expected_log_class_size(model, n) - 2.0) / n
-        return RateBound(value=value, std_error=0.0, mode="exact", samples=0)
-    if samples < 2:
-        raise ValueError(f"a Monte-Carlo bound needs samples >= 2, got {samples}")
-    if rng is None:
-        rng = random.Random(0)
-    draw = model.draw_index
-    logs = []
-    for _ in range(samples):
-        logs.append(math.log2(sorted_class_size(sorted(draw(rng) for _ in range(n)))))
-    mean = sum(logs) / samples
-    variance = sum((x - mean) ** 2 for x in logs) / (samples - 1)
-    std_error = math.sqrt(variance / samples)
-    return RateBound(
-        value=(mean - 2.0) / n,
-        std_error=std_error / n,
-        mode="monte_carlo",
-        samples=samples,
-    )
+    log_fact = [math.lgamma(c + 1) for c in range(n + 1)]  # ln c!
+    total = log_fact[n]
+    for p in map(float, model.probs):
+        log_p, log_q = math.log(p), math.log1p(-p)
+        for c in range(2, n + 1):
+            log_pmf = log_fact[n] - log_fact[c] - log_fact[n - c] + c * log_p + (n - c) * log_q
+            total -= math.exp(log_pmf) * log_fact[c]
+    return total / math.log(2)
+
+
+def rate_lower_bound(model: SourceModel, n: int) -> float:
+    """The hiding-rate lower bound (E[log2 class size] - 2) / n, exact.
+
+    E[log2 class size] = log2 n! - sum_a sum_{c=2..n} P(c_a = c) log2 c!,
+    where the count c_a of letter a is Binomial(n, p_a)
+    (``expected_log_class_size``). Raises ValueError unless n >= 1.
+    """
+    return (expected_log_class_size(model, n) - 2.0) / n
 
 
 def empirical_rate(
@@ -355,7 +332,6 @@ def empirical_rate(
     cover_symbols: int,
     model: SourceModel,
     n: int,
-    bound: RateBound | None = None,
     seeds: dict[str, int] | None = None,
 ) -> RateReport:
     """Genuine hidden bits per cover symbol, with bound and entropy context.
@@ -367,8 +343,6 @@ def empirical_rate(
     deltas = [delta for _, delta, _, _ in result.records]
     if not deltas:
         raise EmptyTrace("embed run processed no full blocks")
-    if bound is None:
-        bound = rate_lower_bound(model, n)
     blocks = len(deltas)
     rate = result.bits_embedded / cover_symbols
     mean_bits = sum(deltas) / blocks
@@ -378,8 +352,7 @@ def empirical_rate(
         n=n,
         empirical_rate=rate,
         std_error=std_error,
-        bound=bound.value,
-        bound_std_error=bound.std_error,
+        bound=rate_lower_bound(model, n),
         entropy=shannon_entropy(model),
         min_entropy=min_entropy(model),
         blocks_measured=blocks,
@@ -399,11 +372,10 @@ def measure_stn_rate(
     seed_hidden: int,
     seed_delta: int,
     seed_padding: int,
-    bound: RateBound | None = None,
 ) -> RateReport:
     """Draw fresh cover, embed an endless hidden stream, and measure the rate."""
     result, seeds = _seeded_embed(
         model, n, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
     )
-    return empirical_rate(result, cover_symbols, model, n, bound=bound, seeds=seeds)
+    return empirical_rate(result, cover_symbols, model, n, seeds=seeds)
 

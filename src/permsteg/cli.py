@@ -337,7 +337,6 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         empirical_rate,
         exact_distribution_report,
         min_entropy,
-        rate_lower_bound,
         shannon_entropy,
         st2_rate,
     )
@@ -348,7 +347,6 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
     # both modes enumerate the outcome space, so check it before any work
     _guard_space(len(model.alphabet), block_size)
-    bound = rate_lower_bound(model, block_size)
     cover_symbols = samples * block_size
     result, seeds = _seeded_embed(
         model, block_size, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
@@ -357,7 +355,7 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         dist = exact_distribution_report(model, block_size)
     else:
         dist = _distribution_of(result, seeds, model, block_size, samples)
-    rate = empirical_rate(result, cover_symbols, model, block_size, bound=bound, seeds=seeds)
+    rate = empirical_rate(result, cover_symbols, model, block_size, seeds=seeds)
     payload = {
         "distribution": asdict(dist),
         "rate": asdict(rate),
@@ -365,7 +363,7 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
             "entropy": shannon_entropy(model),
             "min_entropy": min_entropy(model),
             "st2_rate": float(st2_rate(model)),
-            "rate_lower_bound": asdict(bound),
+            "rate_lower_bound": rate.bound,
         },
     }
     _write_report(report_path, payload)

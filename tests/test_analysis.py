@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
@@ -36,7 +37,7 @@ from permsteg import (
     uniform_model,
     zipf_model,
 )
-from permsteg.analysis import _chi2_sf
+from permsteg.analysis import EXACT_SPACE_GUARD, _chi2_sf, _guard_space
 
 from oracles import multinomial, product_law
 
@@ -57,6 +58,22 @@ class TestBlockDistribution:
     def test_space_guard(self):
         with pytest.raises(SpaceTooLarge):
             block_distribution(M_73, 21)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_space_guard_refuses_exactly_the_spaces_beyond_it(self, k):
+        for n in range(1, 26):
+            if k**n > EXACT_SPACE_GUARD:
+                with pytest.raises(SpaceTooLarge, match=rf"^outcome space {k}\^{n} exceeds"):
+                    _guard_space(k, n)
+            else:
+                _guard_space(k, n)
+
+    def test_space_guard_refuses_a_long_block_before_its_power(self):
+        # 3**(10**8) takes minutes to build; the guard answers from n alone
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLarge, match=r"^outcome space 3\^100000000 exceeds"):
+            _guard_space(3, 10**8)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestExactOutputDistribution:
@@ -204,52 +221,51 @@ class TestPairRateFormula:
 
 class TestRateLowerBound:
     def test_exact_small_case(self):
-        bound = rate_lower_bound(uniform_model(2), 2)
-        assert bound.mode == "exact"
-        assert bound.value == pytest.approx(-0.75, abs=1e-12)
-        assert bound.std_error == 0.0
-
-    def test_monte_carlo_fallback_agrees_with_exact(self):
-        model = uniform_model(8)
-        exact = rate_lower_bound(model, 4)
-        mc = rate_lower_bound(
-            model, 4, samples=20_000, rng=random.Random(3), enumeration_limit=1
-        )
-        assert exact.mode == "exact" and mc.mode == "monte_carlo"
-        assert mc.std_error > 0.0
-        assert abs(mc.value - exact.value) < 4 * mc.std_error
+        assert rate_lower_bound(uniform_model(2), 2) == pytest.approx(-0.75, abs=1e-12)
 
     def test_may_be_negative_for_small_blocks(self):
-        assert rate_lower_bound(M_73, 2).value < 0
+        assert rate_lower_bound(M_73, 2) < 0
 
     @pytest.mark.parametrize("model", [M_73, zipf_model(4, 1.3)], ids=["rational", "float"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_expected_log_class_size_matches_sum_over_words(self, model, n):
-        # the class walk agrees with a sum over every word to rounding, and
-        # the exact bound is built from it
+        # the binomial closed form agrees with a sum over every word to
+        # rounding, and the bound is built from it
         probs = [float(p) for p in model.probs]
         brute = sum(
             math.prod(probs[i] for i in word) * math.log2(multinomial(Counter(word).values()))
             for word in product(range(len(probs)), repeat=n)
         )
         assert expected_log_class_size(model, n) == pytest.approx(brute, rel=1e-12)
-        bound = rate_lower_bound(model, n)
-        assert bound.mode == "exact"
-        assert bound.value == pytest.approx((brute - 2) / n, rel=1e-12)
+        assert rate_lower_bound(model, n) == pytest.approx((brute - 2) / n, rel=1e-12)
 
-    @pytest.mark.parametrize("enumeration_limit", [0, 200_000])
+    def test_uniform_256_blocks_of_3_match_their_exact_law(self):
+        # three letters are all distinct (class size 6), hold one pair (3),
+        # or are all alike (1, log 0), with exact rational probabilities
+        all_distinct = Fraction(255 * 254, 256**2)
+        one_pair = Fraction(3 * 255, 256**2)
+        exact = float(all_distinct) * math.log2(6) + float(one_pair) * math.log2(3)
+        assert expected_log_class_size(uniform_model(256), 3) == pytest.approx(exact, rel=1e-14)
+
+    def test_class_sizes_beyond_float_range(self):
+        # a block of 2048 letters has classes far above 1.8e308, which once
+        # overflowed when the size was turned into a float
+        model = two_point_model(Fraction(7, 10))
+        bound = rate_lower_bound(model, 2048)
+        assert math.isfinite(bound)
+        assert 0 < bound < shannon_entropy(model)
+
+    @pytest.mark.parametrize("seed", [0, 200_000])
     @pytest.mark.parametrize("n", [0, -1, -5])
-    def test_block_length_below_one_rejected(self, n, enumeration_limit):
-        # n = -1 used to return a bound above log2 k, n = 0 to divide by zero
-        with pytest.raises(ValueError, match=r"^block length must be >= 1$"):
-            rate_lower_bound(uniform_model(3), n, enumeration_limit=enumeration_limit)
-
-    @pytest.mark.parametrize("samples", [0, 1])
-    def test_monte_carlo_needs_two_samples(self, samples):
-        with pytest.raises(ValueError, match="samples >= 2"):
-            rate_lower_bound(uniform_model(3), 4, samples=samples, enumeration_limit=0)
-        # the exact path draws no samples, so it takes any count
-        assert rate_lower_bound(uniform_model(3), 4, samples=samples).mode == "exact"
+    def test_block_length_below_one_rejected(self, n, seed):
+        # n = -1 used to return a bound above log2 k, n = 0 to divide by zero;
+        # the check holds whatever the model, so it runs on a seeded random one
+        rng = random.Random(seed)
+        weights = [rng.randint(1, 100) for _ in range(3)]
+        model = SourceModel(ABC, tuple(Fraction(w, sum(weights)) for w in weights))
+        for bound_of in (rate_lower_bound, expected_log_class_size):
+            with pytest.raises(ValueError, match=r"^block length must be >= 1$"):
+                bound_of(model, n)
 
 
 class TestEmpiricalRate:

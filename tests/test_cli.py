@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -677,9 +678,19 @@ class TestAnalyze:
         ])
         assert result.exit_code == 4
 
+    def test_long_block_exits_4_at_once(self, runner, workdir):
+        # the guard refuses n = 10**8 from n alone, without building 3**n
+        start = time.perf_counter()
+        result = runner.invoke(main, [
+            "analyze", "--model", str(workdir / "model.txt"), "-n", "100000000",
+        ])
+        assert result.exit_code == 4
+        assert "exceeds the exact-enumeration guard" in result.output
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
     def test_space_guard_before_any_work(self, runner, workdir, monkeypatch, mode):
-        # beyond the guard, analyze exits 4 before it estimates the rate bound
+        # beyond the guard, analyze exits 4 before it computes the rate bound
         # or embeds anything, and so does the library's empirical report
         calls = []
 
@@ -707,14 +718,13 @@ class TestAnalyze:
         # returns for the same seeds
         model = load_model(workdir / "model.txt")
         seeds = (5, 6, 7, 8)
-        bound = rate_lower_bound(model, 3)
         if mode == "exact":
             distribution = exact_distribution_report(model, 3)
         else:
             distribution = empirical_distribution_report(model, 3, 600, *seeds)
         expected = {
             "distribution": asdict(distribution),
-            "rate": asdict(measure_stn_rate(model, 3, 1800, *seeds, bound=bound)),
+            "rate": asdict(measure_stn_rate(model, 3, 1800, *seeds)),
         }
         calls = []
         real_embed = permsteg.analysis.stn_embed
@@ -735,6 +745,9 @@ class TestAnalyze:
         assert len(calls) == 1
         report = json.loads((workdir / "report.json").read_text())
         assert {part: report[part] for part in expected} == json.loads(json.dumps(expected))
+        # the theory section's bound is the number the rate report carries
+        assert report["theory"]["rate_lower_bound"] == report["rate"]["bound"]
+        assert report["rate"]["bound"] == rate_lower_bound(model, 3)
 
 
 class TestRatesSweep:
@@ -750,6 +763,20 @@ class TestRatesSweep:
         assert [entry["n"] for entry in sweep] == [2, 4]
         assert sweep[0]["empirical_rate"] < sweep[1]["empirical_rate"]
         assert sweep[1]["empirical_rate"] < report["entropy"]
+
+    def test_class_sizes_beyond_float_range(self, runner, workdir):
+        # classes of 2048 letters pass 1.8e308, where the bound once raised
+        # OverflowError; it is exact and finite at any block length
+        result = runner.invoke(main, [
+            "rates", "--model", str(workdir / "ab_model.txt"),
+            "--block-sizes", "2048", "--symbols", "4096",
+            "--report", str(workdir / "rates.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads((workdir / "rates.json").read_text())
+        [entry] = report["sweep"]
+        assert 0 < entry["bound"] < report["entropy"]
+        assert "bound_std_error" not in entry
 
     def test_bad_block_sizes_exit_4(self, runner, workdir):
         for value in ("x,2", "1,4", ""):
