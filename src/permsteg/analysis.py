@@ -227,16 +227,17 @@ def _seeded_embed(
     seed_source: int,
     seed_hidden: int,
     seed_delta: int,
-    seed_padding: int,
 ) -> tuple[EmbedResult, dict[str, int]]:
-    """Embed an endless hidden stream in fresh seeded cover; the result and its seeds."""
+    """Embed an endless hidden stream in fresh seeded cover; the result and its seeds.
+
+    The endless stream never runs out, so the embedder never draws padding
+    bits; the hidden stream's own generator stands in as the padding one.
+    """
     cover = draw_cover(model, cover_symbols, random.Random(seed_source))
-    hidden = hidden_bit_stream(random.Random(seed_hidden))
-    delta_rng, padding_rng = random.Random(seed_delta), random.Random(seed_padding)
-    result = stn_embed(cover, hidden, n, model.alphabet, delta_rng, padding_rng)
-    seeds = {"source": seed_source, "hidden": seed_hidden,
-             "delta": seed_delta, "padding": seed_padding}
-    return result, seeds
+    hidden_rng = random.Random(seed_hidden)
+    hidden = hidden_bit_stream(hidden_rng)
+    result = stn_embed(cover, hidden, n, model.alphabet, random.Random(seed_delta), hidden_rng)
+    return result, {"source": seed_source, "hidden": seed_hidden, "delta": seed_delta}
 
 
 def empirical_distribution_report(
@@ -246,20 +247,18 @@ def empirical_distribution_report(
     seed_source: int,
     seed_hidden: int,
     seed_delta: int,
-    seed_padding: int,
 ) -> DistributionReport:
     """Embed ``blocks`` blocks of fresh cover and test the output empirically."""
     _guard_space(len(model.alphabet), n)
-    result, seeds = _seeded_embed(
-        model, n, blocks * n, seed_source, seed_hidden, seed_delta, seed_padding
-    )
-    return _distribution_of(result, seeds, model, n, blocks)
+    result, seeds = _seeded_embed(model, n, blocks * n, seed_source, seed_hidden, seed_delta)
+    return _distribution_of(result, seeds, model, n)
 
 
 def _distribution_of(
-    result: EmbedResult, seeds: dict[str, int], model: SourceModel, n: int, blocks: int
+    result: EmbedResult, seeds: dict[str, int], model: SourceModel, n: int
 ) -> DistributionReport:
-    """The empirical distribution report of an embed of ``blocks`` blocks."""
+    """The empirical distribution report of an embed's full blocks."""
+    blocks = result.blocks
     observed = Counter(
         tuple(result.stego[i : i + n]) for i in range(0, blocks * n, n)
     )
@@ -329,21 +328,23 @@ def rate_lower_bound(model: SourceModel, n: int) -> float:
 
 def empirical_rate(
     result: EmbedResult,
-    cover_symbols: int,
     model: SourceModel,
     n: int,
     seeds: dict[str, int] | None = None,
 ) -> RateReport:
     """Genuine hidden bits per cover symbol, with bound and entropy context.
 
-    The standard error is that of the mean per-block payload length; it
-    describes sampling noise of the achievable rate (meaningful when the
-    hidden stream was not exhausted, i.e. padding_bits is 0).
+    The cover length is ``len(result.stego)``: the stego stream carries
+    every cover symbol, a trailing partial block included. The standard
+    error is that of the mean per-block payload length; it describes
+    sampling noise of the achievable rate (meaningful when the hidden
+    stream was not exhausted, i.e. padding_bits is 0).
     """
     deltas = [delta for _, delta, _, _ in result.records]
     if not deltas:
         raise EmptyTrace("embed run processed no full blocks")
     blocks = len(deltas)
+    cover_symbols = len(result.stego)
     rate = result.bits_embedded / cover_symbols
     mean_bits = sum(deltas) / blocks
     variance = sum((delta - mean_bits) ** 2 for delta in deltas) / max(blocks - 1, 1)
@@ -371,11 +372,8 @@ def measure_stn_rate(
     seed_source: int,
     seed_hidden: int,
     seed_delta: int,
-    seed_padding: int,
 ) -> RateReport:
     """Draw fresh cover, embed an endless hidden stream, and measure the rate."""
-    result, seeds = _seeded_embed(
-        model, n, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
-    )
-    return empirical_rate(result, cover_symbols, model, n, seeds=seeds)
+    result, seeds = _seeded_embed(model, n, cover_symbols, seed_source, seed_hidden, seed_delta)
+    return empirical_rate(result, model, n, seeds=seeds)
 

@@ -321,12 +321,11 @@ def generate(model_path, count, seed_source, out_path) -> None:
 @click.option("--seed-source", type=int, default=0, show_default=True)
 @click.option("--seed-hidden", type=int, default=1, show_default=True)
 @click.option("--seed-delta", type=int, default=2, show_default=True)
-@click.option("--seed-padding", type=int, default=3, show_default=True)
 @click.option("--report", "report_path", default=None,
               help="Write the JSON report here instead of standard output.")
 @_guarded
 def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
-            seed_delta, seed_padding, report_path) -> None:
+            seed_delta, report_path) -> None:
     """Check output-distribution equality and report rates for one model."""
     from dataclasses import asdict
 
@@ -347,15 +346,14 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
     # both modes enumerate the outcome space, so check it before any work
     _guard_space(len(model.alphabet), block_size)
-    cover_symbols = samples * block_size
     result, seeds = _seeded_embed(
-        model, block_size, cover_symbols, seed_source, seed_hidden, seed_delta, seed_padding
+        model, block_size, samples * block_size, seed_source, seed_hidden, seed_delta
     )
     if mode == "exact":
         dist = exact_distribution_report(model, block_size)
     else:
-        dist = _distribution_of(result, seeds, model, block_size, samples)
-    rate = empirical_rate(result, cover_symbols, model, block_size, seeds=seeds)
+        dist = _distribution_of(result, seeds, model, block_size)
+    rate = empirical_rate(result, model, block_size, seeds=seeds)
     payload = {
         "distribution": asdict(dist),
         "rate": asdict(rate),
@@ -378,11 +376,10 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
 @click.option("--seed-source", type=int, default=0, show_default=True)
 @click.option("--seed-hidden", type=int, default=1, show_default=True)
 @click.option("--seed-delta", type=int, default=2, show_default=True)
-@click.option("--seed-padding", type=int, default=3, show_default=True)
 @click.option("--report", "report_path", default=None)
 @_guarded
 def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
-          seed_delta, seed_padding, report_path) -> None:
+          seed_delta, report_path) -> None:
     """Measure hiding rates across block lengths (trend toward the entropy)."""
     from dataclasses import asdict
 
@@ -398,9 +395,7 @@ def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
         raise InvalidBlockLength("every block length in the sweep must be >= 2")
     reports = []
     for n in sorted(sizes):
-        report = measure_stn_rate(
-            model, n, symbols, seed_source, seed_hidden, seed_delta, seed_padding
-        )
+        report = measure_stn_rate(model, n, symbols, seed_source, seed_hidden, seed_delta)
         reports.append(asdict(report))
     payload = {
         "entropy": shannon_entropy(model),

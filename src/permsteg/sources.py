@@ -65,10 +65,6 @@ class SourceModel:
     def is_rational(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.probs)
 
-    def draw_index(self, rng: random.Random) -> int:
-        """One symbol index by inverse-CDF on a uniform variate."""
-        return bisect_right(self._cum, rng.random())
-
 
 def load_model(path) -> SourceModel:
     """Parse a model file: ``token probability`` per line, decimals or fractions.

@@ -271,37 +271,39 @@ class TestRateLowerBound:
 class TestEmpiricalRate:
     def test_all_same_letter_blocks_rate_zero(self):
         result = stn_embed(["a"] * 8, [1, 0], 2, AB, random.Random(0), random.Random(1))
-        report = empirical_rate(result, 8, uniform_model(2), 2)
+        report = empirical_rate(result, uniform_model(2), 2)
         assert report.empirical_rate == 0.0
         assert report.blocks_measured == 4
 
     def test_empty_trace_rejected(self):
         result = stn_embed([], [], 2, AB, random.Random(0), random.Random(1))
         with pytest.raises(EmptyTrace):
-            empirical_rate(result, 0, uniform_model(2), 2)
+            empirical_rate(result, uniform_model(2), 2)
 
     def test_pair_scheme_rate_matches_formula(self):
         symbols = 100_000
         model = two_point_model(Fraction(1, 2))
         cover = draw_cover(model, symbols, random.Random(21))
         result = st2_embed(cover, hidden_bit_stream(random.Random(22)), AB, random.Random(23))
-        report = empirical_rate(result, symbols, model, 2)
+        report = empirical_rate(result, model, 2)
         sigma = math.sqrt(0.25 * (symbols / 2)) / symbols
         assert abs(report.empirical_rate - 0.25) < 3 * sigma
         assert report.padding_bits == 0
         assert report.entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_measure_stn_rate_exceeds_bound(self):
-        report = measure_stn_rate(M_532, 4, 200_000, 1, 2, 3, 4)
+        report = measure_stn_rate(M_532, 4, 200_000, 1, 2, 3)
         assert report.empirical_rate >= report.bound - 3 * report.std_error
         assert report.blocks_measured == 50_000
+        # the endless hidden stream never runs out, so nothing is padding
+        assert report.padding_bits == 0
         # frozen exact expectation for this model and block length: 0.5059
         assert abs(report.empirical_rate - 0.5059) < 0.01
 
 
 class TestEmpiricalDistribution:
     def test_small_run_consistent_with_product_law(self):
-        report = empirical_distribution_report(M_532, 3, 20_000, 11, 12, 13, 14)
+        report = empirical_distribution_report(M_532, 3, 20_000, 11, 12, 13)
         assert report.mode == "empirical"
         assert report.sample_size == 20_000
         assert report.p_value > 1e-3
@@ -342,11 +344,11 @@ class TestEmpiricalDistribution:
 class TestReports:
     def test_reports_serialize_to_json(self):
         dist = exact_distribution_report(M_73, 2)
-        rate = measure_stn_rate(M_73, 2, 2_000, 1, 2, 3, 4)
+        rate = measure_stn_rate(M_73, 2, 2_000, 1, 2, 3)
         blob = json.dumps({"distribution": asdict(dist), "rate": asdict(rate)}, sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["distribution"]["max_abs_deviation"] == 0.0
-        assert parsed["rate"]["seeds"] == {"source": 1, "hidden": 2, "delta": 3, "padding": 4}
+        assert parsed["rate"]["seeds"] == {"source": 1, "hidden": 2, "delta": 3}
 
     def test_model_digest_distinguishes_models(self):
         assert model_digest(M_73) != model_digest(uniform_model(2))

@@ -656,8 +656,7 @@ class TestAnalyze:
         result = runner.invoke(main, [
             "analyze", "--model", str(workdir / "model.txt"),
             "--block-size", "3", "--mode", "empirical", "--samples", "4000",
-            "--seed-source", "5", "--seed-hidden", "6",
-            "--seed-delta", "7", "--seed-padding", "8",
+            "--seed-source", "5", "--seed-hidden", "6", "--seed-delta", "7",
             "--report", str(workdir / "report.json"),
         ])
         assert result.exit_code == 0, result.output
@@ -708,7 +707,7 @@ class TestAnalyze:
         assert calls == []
         model = load_model(workdir / "model.txt")
         with pytest.raises(SpaceTooLarge):
-            empirical_distribution_report(model, 13, 1000, 5, 6, 7, 8)
+            empirical_distribution_report(model, 13, 1000, 5, 6, 7)
         assert calls == []
 
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
@@ -717,7 +716,7 @@ class TestAnalyze:
         # on one embed, and each report equals what its public function
         # returns for the same seeds
         model = load_model(workdir / "model.txt")
-        seeds = (5, 6, 7, 8)
+        seeds = (5, 6, 7)
         if mode == "exact":
             distribution = exact_distribution_report(model, 3)
         else:
@@ -737,8 +736,7 @@ class TestAnalyze:
         result = runner.invoke(main, [
             "analyze", "--model", str(workdir / "model.txt"),
             "--block-size", "3", "--mode", mode, "--samples", "600",
-            "--seed-source", "5", "--seed-hidden", "6",
-            "--seed-delta", "7", "--seed-padding", "8",
+            "--seed-source", "5", "--seed-hidden", "6", "--seed-delta", "7",
             "--report", str(workdir / "report.json"),
         ])
         assert result.exit_code == 0, result.output
@@ -748,6 +746,20 @@ class TestAnalyze:
         # the theory section's bound is the number the rate report carries
         assert report["theory"]["rate_lower_bound"] == report["rate"]["bound"]
         assert report["rate"]["bound"] == rate_lower_bound(model, 3)
+        # the hidden stream is endless, so no padding bit is ever drawn
+        assert report["rate"]["padding_bits"] == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "rates"])
+def test_analysis_commands_take_no_padding_seed(runner, workdir, command):
+    # the analysis commands embed an endless hidden stream, which never
+    # pads, so a padding seed could not change their output
+    result = runner.invoke(main, [
+        command, "--model", str(workdir / "model.txt"), "--seed-padding", "3",
+    ])
+    assert result.exit_code == 2
+    # click words this "No such option: --x" or "No such option '--x'" by version
+    assert "No such option" in result.output and "--seed-padding" in result.output
 
 
 class TestRatesSweep:
