@@ -1,14 +1,10 @@
 """Verification suite: distribution equality, hiding rates, and bounds.
 
-The central check is exact: enumerate every cover block, every admissible
-payload length with its band probability, and every equiprobable payload
-value; map each triple to a classmate with the band code and class
-unranking; and accumulate the probability of each emitted block. For a
-rational source model the result must equal the i.i.d. product
-distribution exactly, not approximately. This checks the scheme's formula,
-not the embed loop, which inlines the band code; the acceptance test
-``test_embed_loop_output_law_is_exact`` drives ``stn_embed`` itself through
-every draw and payload value on a small model.
+The central check is exact, and it runs the shipped embed loop: for every
+permutation class it drives ``stn_embed`` through each band d and payload
+value r of the class, with scripted draws, and accumulates the probability
+of each emitted block. For a rational source model the result must equal
+the i.i.d. product distribution exactly, not approximately.
 
 Empirical checks back this up at scale: chi-square goodness of fit of
 embedded output against the product law (its tail a finite stdlib sum,
@@ -32,15 +28,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 from typing import Mapping
 
 from .alphabet import Block
 from .codec import EmbedResult, stn_embed
 from .errors import DegenerateCells, EmptyTrace, SpaceTooLarge
-from .payload import encode_index, expand
-from .ranking import sorted_class_size, unrank_indices
+from .ranking import sorted_class_size
 from .sources import Probability, SourceModel, draw_cover, hidden_bit_stream
 
 EXACT_SPACE_GUARD = 10**6
@@ -69,38 +64,38 @@ def block_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:
 
 
 def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:
-    """Exact law of the block scheme's output under the given cover model.
+    """Exact law of ``stn_embed``'s output blocks under the given cover model.
 
-    Sums over every cover block, every admissible payload length with its
-    band probability, and every payload value, mapping each combination to
-    the classmate at its band index (``encode_index``, then unranking). It
-    checks the formula, not ``stn_embed``'s inlined loop, which
-    ``test_embed_loop_output_law_is_exact`` drives exhaustively. Exact
-    rational arithmetic whenever the model is rational.
+    One ``stn_embed`` call per class embeds its sorted word N times, carrying
+    every value r of every band d (MSB-first), with scripted draws that each
+    return band d's first index. The block carrying (d, r) then weighs
+    N p(word) * 2**d / N * 2**-d = p(word). Exact whenever the model is
+    rational; a float model's sums may move in the last bits. The scripted
+    draws bypass the live rejection loop (ROADMAP item 22), and only each
+    class's sorted word is fed; ``test_embed_loop_output_law_is_exact``
+    feeds every cover block and every draw. Raises AssertionError if the
+    embed leaves a scripted draw unused or draws padding.
     """
     _guard_space(len(model.alphabet), n)
-    probs = model.probs
-    rational = model.is_rational
-    out: dict[tuple[int, ...], Probability] = {}
+    symbols, probs = model.alphabet.symbols, model.probs
+    out: dict[Block, Probability] = {}
     for ordered in combinations_with_replacement(range(len(probs)), n):
         size = sorted_class_size(ordered)
-        members = [tuple(unrank_indices(ordered, t, size)) for t in range(size)]
-        class_prob = sum(math.prod(probs[i] for i in member) for member in members)
-        for d in expand(size):
-            if rational:
-                band_prob = Fraction(1 << d, size)
-                payload_prob = Fraction(1, 1 << d)
-            else:
-                band_prob = (1 << d) / size
-                payload_prob = 1.0 / (1 << d)
-            contribution = class_prob * band_prob * payload_prob
-            for r in range(1 << d):
-                tau = encode_index(size, d, r)
-                emitted = members[tau]
-                prev = out.get(emitted)
-                out[emitted] = contribution if prev is None else prev + contribution
-    symbols = model.alphabet.symbols
-    return {tuple(symbols[i] for i in v): p for v, p in out.items()}
+        bands = [d for d in reversed(range(size.bit_length())) if size >> d & 1]
+        # one draw per (d, r), band d's first index; a power of two draws none
+        draws = iter([size >> d >> 1 << d << 1 for d in bands for _ in range(1 << d)]
+                     if size & (size - 1) else [])
+        script = SimpleNamespace(getrandbits=lambda _: next(draws))
+        hidden = [bit for d in bands for r in product((0, 1), repeat=d) for bit in r]
+        cover = [symbols[i] for i in ordered] * size
+        result = stn_embed(cover, hidden, n, model.alphabet, script, script)
+        if result.padding_bits or next(draws, None) is not None:
+            raise AssertionError(f"the embed of {cover[:n]} parted from its scripted draws")
+        weight = math.prod(probs[i] for i in ordered)
+        for block in zip(*[iter(result.stego)] * n):
+            prev = out.get(block)
+            out[block] = weight if prev is None else prev + weight
+    return out
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,8 @@ def generate(model_path, count, seed_source, out_path) -> None:
 def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
             seed_delta, report_path) -> None:
     """Check output-distribution equality and report rates for one model."""
+    if samples < 1:
+        raise ValueError("--samples must be >= 1")
     from dataclasses import asdict
 
     from .analysis import (
@@ -381,6 +383,8 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
 def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
           seed_delta, report_path) -> None:
     """Measure hiding rates across block lengths (trend toward the entropy)."""
+    if symbols < 1:
+        raise ValueError("--symbols must be >= 1")
     from dataclasses import asdict
 
     from .analysis import measure_stn_rate, min_entropy, model_digest, shannon_entropy

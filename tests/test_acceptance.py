@@ -114,13 +114,15 @@ class _NoPadding(random.Random):
 
 
 def test_embed_loop_output_law_is_exact():
-    """Criterion 01 on the shipped embed loop rather than the formula.
+    """Criterion 01 on the shipped embed loop, enumerated in full.
 
-    Every cover block b, every draw u in [0, N) and every payload value r of
-    u's band d is embedded once (a power-of-two class draws no u, so its N
-    values of u only repeat the block), which makes each emitted block
-    carry weight p(b) 2**-d / N. Summed, the weights must equal the product
-    law exactly, and extract must return every scripted payload bit.
+    ``exact_output_distribution`` embeds each class's sorted word with one
+    draw per band; this embeds every cover block b with every draw u in
+    [0, N) and every payload value r of u's band d (a power-of-two class
+    draws no u, so its N values of u only repeat the block), which makes
+    each emitted block carry weight p(b) 2**-d / N. Summed, the weights
+    must equal the product law exactly, and extract must return every
+    scripted payload bit.
     """
     model = SourceModel(ABC, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     for n in range(2, 6):

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from scipy.stats import chi2
 
+import permsteg.codec
 from permsteg import (
     Alphabet,
     DegenerateCells,
@@ -98,6 +99,12 @@ class TestExactOutputDistribution:
     def test_space_guard(self):
         with pytest.raises(SpaceTooLarge):
             exact_output_distribution(M_73, 25)
+
+    def test_runs_the_shipped_embed(self, monkeypatch):
+        # an embed that emits every block as its sorted word parts from the
+        # product law, so the oracle must see it
+        monkeypatch.setattr(permsteg.codec, "unrank_indices", lambda key, tau, size: key)
+        assert exact_distribution_report(M_532, 3).max_abs_deviation > 0
 
     def test_report_fields(self):
         report = exact_distribution_report(M_73, 2)

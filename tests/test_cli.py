@@ -713,8 +713,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
     def test_analyze_embeds_once(self, runner, workdir, monkeypatch, mode):
         # either mode measures the rate (and, empirically, the distribution)
-        # on one embed, and each report equals what its public function
-        # returns for the same seeds
+        # on one seeded embed, and each report equals what its public
+        # function returns for the same seeds; the exact oracle adds one
+        # scripted embed per class
         model = load_model(workdir / "model.txt")
         seeds = (5, 6, 7)
         if mode == "exact":
@@ -740,7 +741,10 @@ class TestAnalyze:
             "--report", str(workdir / "report.json"),
         ])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 1
+        seeded = [args for args in calls if isinstance(args[4], random.Random)]
+        assert len(seeded) == 1
+        # k = 3, n = 3: 10 classes
+        assert len(calls) - len(seeded) == (10 if mode == "exact" else 0)
         report = json.loads((workdir / "report.json").read_text())
         assert {part: report[part] for part in expected} == json.loads(json.dumps(expected))
         # the theory section's bound is the number the rate report carries
@@ -760,6 +764,24 @@ def test_analysis_commands_take_no_padding_seed(runner, workdir, command):
     assert result.exit_code == 2
     # click words this "No such option: --x" or "No such option '--x'" by version
     assert "No such option" in result.output and "--seed-padding" in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command, option", [(["analyze", "-n", "3"], "--samples"),
+                                             (["rates"], "--symbols")], ids=["analyze", "rates"])
+def test_analysis_commands_need_a_positive_count(runner, workdir, monkeypatch, command,
+                                                 option, value):
+    # a count below 1 exits 4 naming its option, before anything is embedded
+    calls = []
+    monkeypatch.setattr(permsteg.analysis, "stn_embed", lambda *args: calls.append(args))
+    result = runner.invoke(main, [
+        *command, "--model", str(workdir / "model.txt"), option, value,
+        "--report", str(workdir / "report.json"),
+    ])
+    assert result.exit_code == 4
+    assert f"error: {option} must be >= 1" in result.output
+    assert calls == []
+    assert not (workdir / "report.json").exists()
 
 
 class TestRatesSweep:
