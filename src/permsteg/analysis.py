@@ -53,14 +53,21 @@ def _guard_space(k: int, n: int) -> None:
 
 
 def block_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:
-    """The i.i.d. product law over blocks of length n (the reference)."""
+    """The i.i.d. product law over blocks of length n (the reference).
+
+    The law is constant on a permutation class, so each class's product is
+    taken once, over its sorted word, and every word of the class maps to it.
+    """
     _guard_space(len(model.alphabet), n)
-    symbols = model.alphabet.symbols
-    probs = model.probs
-    out: dict[Block, Probability] = {}
-    for word in product(range(len(symbols)), repeat=n):
-        out[tuple(symbols[i] for i in word)] = math.prod(probs[i] for i in word)
-    return out
+    symbols, probs = model.alphabet.symbols, model.probs
+    weights = {
+        ordered: math.prod(probs[i] for i in ordered)
+        for ordered in combinations_with_replacement(range(len(probs)), n)
+    }
+    return {
+        tuple(symbols[i] for i in word): weights[tuple(sorted(word))]
+        for word in product(range(len(symbols)), repeat=n)
+    }
 
 
 def exact_output_distribution(model: SourceModel, n: int) -> dict[Block, Probability]:

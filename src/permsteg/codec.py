@@ -45,8 +45,9 @@ block. Embed maps each raw block of a small class to its class entry in a
 memo; any other block is sorted and its class size N taken in one
 run-length pass. It then draws u uniform on [0, N) from the delta generator
 as ``randrange(N)`` would (nothing for a power of two), takes d as the band
-holding u and the index as offset(d) + r, all as int arithmetic on N, and
-unranks the word at that index unless the class's member table holds it.
+holding u and the index as offset(d) + r, where offset(d) is u with its low
+d bits cleared (u agrees with N above bit d and has a 0 at it), and unranks
+the word at that index unless the class's member table holds it.
 Extract ranks each block its decode map does not hold, takes d as the band
 holding the rank tau and r as tau's low d bits, again as int arithmetic on
 N. Like ``EmbedResult.consumed_bits``, it appends each block's payload
@@ -54,9 +55,9 @@ value to a window int and turns each window of 64 or more bits into bit
 values in C.
 
 Results keep one plain tuple of ints per block (``records``) rather than one
-record object per block; the pair loop and extract's decode map reuse one
-tuple for every block with the same record. ``trace`` builds the
-``BlockTrace``/``ExtractTrace`` records from them when it is read.
+record object per block; the pair loop, embed's member tables and extract's
+decode map reuse one tuple for every block with the same record. ``trace``
+builds the ``BlockTrace``/``ExtractTrace`` records from them when it is read.
 
 Each direction is one generator that keeps one state for the whole stream
 (bit window and feed, random generators, class table, decode map) and yields an
@@ -89,7 +90,8 @@ from .ranking import rank_indices, sorted_class_size, unrank_indices
 
 # Embed keeps a member table for each class of at most _MEMBER_TABLE_MAX_CLASS
 # words, filled on first use: a block unranks its word only if no earlier block
-# emitted it, and stores it for later ones. Extract keeps the decoding of each
+# emitted it, and stores the word and its record for later ones, which emit
+# the word and append that same record. Extract keeps the decoding of each
 # distinct block of such a class. Larger classes stay on the rank/unrank path.
 # Embed's class map (from a sorted key) and memo (from a raw block), extract's
 # decode map and the words in embed's member tables are each capped at
@@ -276,10 +278,11 @@ def _stn_embed(
     window = avail = 0  # the bit window: its low ``avail`` bits are unread
     same, zero, one = _PAIR_EMBED_RECORD
     getrandbits = delta_rng.getrandbits
-    # [size, draw width or 0 for a power of two, member table or None above
-    # _MEMBER_TABLE_MAX_CLASS, sorted key] per class; see above
-    classes: dict[tuple[str, ...], list] = {}
-    memo: dict[tuple[str, ...], list] = {}
+    # (size, draw width or 0 for a power of two, member table or None above
+    # _MEMBER_TABLE_MAX_CLASS, sorted key) per class; a member table maps an
+    # index to its word and its block's record; see above
+    classes: dict[tuple[str, ...], tuple] = {}
+    memo: dict[tuple[str, ...], tuple] = {}
     budget = _MEMBER_TABLE_BUDGET
     for blocks, tail in _pieces(cover, n, alphabet, piece_symbols):
         genuine, padding = feed.pulled - avail, feed.padding
@@ -313,10 +316,10 @@ def _stn_embed(
                     size = sorted_class_size(key)
                     width = size.bit_length() if size & (size - 1) else 0
                     if size > _MEMBER_TABLE_MAX_CLASS:
-                        entry = [size, width, None, key]
+                        entry = (size, width, None, key)
                     else:
                         key = tuple(key)
-                        entry = classes.get(key) or [size, width, {}, key]
+                        entry = classes.get(key) or (size, width, {}, key)
                         # memo >= classes, so this caps both
                         if len(memo) < _MEMBER_TABLE_BUDGET:
                             classes[key] = memo[block] = entry
@@ -332,19 +335,21 @@ def _stn_embed(
                     r = window >> avail & ((1 << d) - 1)
                 else:
                     r, window, avail = pull(window, avail + d, d)
-                tau = size >> d >> 1 << d << 1 | r
+                tau = u >> d << d | r  # u's bits above d are band d's offset
                 if members is None:
                     out.extend(unrank_indices(key, tau, size))
+                    records.append((size, d, r, tau))
                 else:
                     try:
-                        word = members[tau]
+                        word, record = members[tau]
                     except KeyError:
                         word = tuple(unrank_indices(key, tau, size))
+                        record = (size, d, r, tau)
                         if budget:
-                            members[tau] = word
+                            members[tau] = word, record
                             budget -= 1
                     out.extend(word)
-                records.append((size, d, r, tau))
+                    records.append(record)
         out.extend(tail)  # trailing partial block, untouched
         yield EmbedResult(tuple(out), feed.pulled - avail - genuine, feed.padding - padding, tuple(records))
 

@@ -56,6 +56,15 @@ class TestBlockDistribution:
         assert law[("a", "b")] == Fraction(21, 100)
         assert sum(law.values()) == 1
 
+    def test_each_word_gets_its_own_product(self):
+        # one product per class, mapped to every word of the class: on four
+        # unequal letters, a word given another class's product shows here
+        abcd = Alphabet(["a", "b", "c", "d"])
+        probs = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))
+        law = block_distribution(SourceModel(abcd, probs), 5)
+        assert law == product_law(abcd.symbols, probs, 5)
+        assert list(law) == list(product(abcd.symbols, repeat=5))
+
     def test_space_guard(self):
         with pytest.raises(SpaceTooLarge):
             block_distribution(M_73, 21)

@@ -7,9 +7,11 @@ benchmark derives its member-table hit ratio from the unrank call count,
 so embed calls unrank once per block that misses the member tables, and
 not at all for a block that hits them. The tables fill on first use, so a
 miss is a word of a small class that the call has not emitted before, or
-any block of a larger class. Extract keeps no member tables: it ranks each
-distinct block of a small class once and looks up its decoding afterwards,
-and ranks every block of a larger class.
+any block of a larger class. A member table stores each word's record with
+it, so the blocks that emit one word share one record object. Extract
+keeps no member tables: it ranks each distinct block of a small class once
+and looks up its decoding afterwards, and ranks every block of a larger
+class.
 """
 
 import ast
@@ -60,6 +62,19 @@ def _counting(monkeypatch, name, modules=(permsteg.codec,)):
     return calls
 
 
+def _stream(k, n, symbols, zipf=False):
+    """A seeded cover of ``symbols`` tokens over k letters, and as many hidden bits."""
+    alphabet = symbol_alphabet(k)
+    rng = random.Random(k * 1000 + n)
+    if zipf:
+        weights = [1 / i for i in range(1, k + 1)]
+        cover = rng.choices(alphabet.symbols, weights=weights, k=symbols)
+    else:
+        cover = [rng.choice(alphabet.symbols) for _ in range(symbols)]
+    hidden = [rng.getrandbits(1) for _ in range(symbols)]
+    return alphabet, cover, hidden
+
+
 def _round_trip_calls(monkeypatch, k, n, symbols, zipf=False):
     """Unrank and rank calls of one embed and extract, with what bounds them.
 
@@ -69,14 +84,7 @@ def _round_trip_calls(monkeypatch, k, n, symbols, zipf=False):
     use allows: one per distinct (sorted block, tau) of a class within the
     member-table limit, and one per block of a larger class.
     """
-    alphabet = symbol_alphabet(k)
-    rng = random.Random(k * 1000 + n)
-    if zipf:
-        weights = [1 / i for i in range(1, k + 1)]
-        cover = rng.choices(alphabet.symbols, weights=weights, k=symbols)
-    else:
-        cover = [rng.choice(alphabet.symbols) for _ in range(symbols)]
-    hidden = [rng.getrandbits(1) for _ in range(symbols)]
+    alphabet, cover, hidden = _stream(k, n, symbols, zipf)
     unrank_calls = _counting(monkeypatch, "unrank_indices", (permsteg.codec, permsteg.ranking))
     rank_calls = _counting(monkeypatch, "rank_indices")
     embedded = stn_embed(cover, hidden, n, alphabet, random.Random(1), random.Random(2))
@@ -113,3 +121,21 @@ def test_embed_unranks_each_emitted_word_once(monkeypatch):
     # does not emit, nor one it already holds
     unranks, _, _, words = _round_trip_calls(monkeypatch, 6, 7, 10_000, zipf=True)
     assert unranks == words <= 10_000 // 7
+
+
+@pytest.mark.parametrize("k, n, blocks, tabled", [(3, 4, 600, True), (256, 16, 200, False)])
+def test_member_tables_serve_one_record_per_word(k, n, blocks, tabled):
+    # a member table stores each word's record with it, so the blocks of a
+    # small class that emit one word share one record object (k=3, n=4); a
+    # block of a larger class gets a record of its own (k=256, n=16)
+    alphabet, cover, hidden = _stream(k, n, blocks * n)
+    embedded = stn_embed(cover, hidden, n, alphabet, random.Random(1), random.Random(2))
+    pairs = set()
+    for block, record in zip(zip(*[iter(embedded.stego)] * n), embedded.records):
+        assert (record[0] <= permsteg.codec._MEMBER_TABLE_MAX_CLASS) is tabled
+        # a tabled block's word is (sorted block, tau); any other block is its own
+        word = (tuple(sorted(block)), record[3]) if tabled else len(pairs)
+        pairs.add((word, id(record)))
+    # one record object per word and one word per record object
+    assert len(pairs) == len({word for word, _ in pairs}) == len({obj for _, obj in pairs})
+    assert (len(pairs) < blocks) if tabled else (len(pairs) == blocks)
