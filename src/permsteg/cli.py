@@ -19,7 +19,12 @@ length. ``embed`` reads the hidden file in chunks; framed, it reads it
 whole, since a framed payload must fit the cover. ``extract`` writes the
 whole bytes of each piece's bits and carries fewer than 8 bits to the next
 piece; framed, it reads the 32-bit header and then writes exactly the
-frame's bits. ``generate`` draws and writes its cover a piece at a time.
+frame's bits. Framed, it decodes only through the piece that completes the
+frame and reads the rest of the stream through the codec's token check
+without decoding it, so an unknown token after the frame still exits 3 and
+``stego_symbols`` counts the whole stream; ``bits_recovered`` is then the
+frame's bits, 32 + 8 * ``payload_bytes``, and unframed every bit recovered.
+``generate`` draws and writes its cover a piece at a time.
 Only ``generate``, ``analyze`` and ``rates`` import the analysis suite and
 the simulated sources.
 
@@ -48,6 +53,7 @@ from typing import Iterator, Sequence
 
 import click
 
+from . import codec
 from .alphabet import Alphabet
 from .bits import iter_bits
 from .codec import frame_payload, stn_embed_pieces, stn_extract_pieces, write_payload
@@ -100,15 +106,18 @@ def _read_tokens(fh) -> list[str] | None:
 class _TokenStream:
     """The tokens of an open text file, read batch by batch as they are used.
 
-    Iterate once; ``count`` is the number of tokens read so far.
+    Every ``iter()`` hands out the same iterator, so a second pass resumes at
+    the token after the last one the first pass took; ``count`` is the number
+    of tokens read so far.
     """
 
     def __init__(self, fh) -> None:
         self._fh = fh
         self.count = 0
+        self._tokens = chain.from_iterable(self._batches())
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(self._batches())
+        return self._tokens
 
     def _batches(self) -> Iterator[list[str]]:
         while (batch := _read_tokens(self._fh)) is not None:
@@ -271,6 +280,9 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
         stego = _TokenStream(fh)
         pieces = (piece.bits for piece in stn_extract_pieces(stego, block_size, alphabet))
         recovered, payload_bits = write_payload(pieces, frame_length, out.write)
+        # framed, the stream past the frame's last piece is token-checked, not decoded
+        for _ in codec._pieces(stego, block_size, alphabet, codec._PIECE_SYMBOLS):
+            pass
         out.check()
     _emit({
         "scheme": scheme,
@@ -292,7 +304,6 @@ def extract(alphabet_path, scheme, block_size, stego_path, out_path, frame_lengt
 def generate(model_path, count, seed_source, out_path) -> None:
     """Draw an i.i.d. cover stream from a source model."""
     from .analysis import model_digest
-    from .codec import _PIECE_SYMBOLS
     from .sources import draw_cover, load_model
 
     model = load_model(model_path)
@@ -302,8 +313,8 @@ def generate(model_path, count, seed_source, out_path) -> None:
     # generator give the bytes of a single draw without holding the cover
     rng = random.Random(seed_source)
     with _atomic_out(out_path) as out:
-        for start in range(0, count, _PIECE_SYMBOLS):
-            _write_tokens(out, draw_cover(model, min(_PIECE_SYMBOLS, count - start), rng))
+        for start in range(0, count, codec._PIECE_SYMBOLS):
+            _write_tokens(out, draw_cover(model, min(codec._PIECE_SYMBOLS, count - start), rng))
     _emit({
         "count": count,
         "model_digest": model_digest(model),

@@ -476,9 +476,12 @@ def write_payload(
 ) -> tuple[int, int]:
     """Pass the payload in a stream of extracted bit pieces to ``write``, as bytes.
 
-    Unframed, the payload is every bit; framed, the frame after its 32-bit
-    length header (ValueError if the stream is shorter). Whole bytes go out
-    per piece, a final partial byte zero-padded. Returns (bits read, payload bits).
+    Unframed, the payload is every bit, and every piece is read. Framed, it
+    is the frame after its 32-bit length header (ValueError if the stream is
+    shorter), and no piece is pulled past the one that completes the frame.
+    Whole bytes go out per piece, a final partial byte zero-padded. Returns
+    (bits recovered, payload bits): framed, the bits recovered are the
+    frame's, 32 + 8 * its byte length; unframed, every bit read.
     """
     # payload bits lie at stream offsets [start, stop); framed, stop comes with the header
     start, stop = (32, None) if framed else (0, sys.maxsize)
@@ -498,6 +501,8 @@ def write_payload(
                 write(bits_to_bytes(pending[:whole]))
                 del pending[:whole]
         read += len(bits)
+        if stop is not None and read >= stop:
+            break
     if framed and stop is None:
         raise ValueError(f"framed stream needs >= 32 bits, got {read}")
     if framed and read < stop:
@@ -506,4 +511,5 @@ def write_payload(
             f"only {(read - 32) // 8} available"
         )
     write(bits_to_bytes(pending))
-    return read, (stop - 32 if framed else read)
+    read = min(read, stop)
+    return read, read - start

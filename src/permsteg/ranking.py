@@ -13,11 +13,13 @@ the size so far by j over the letter's count among those j. At a position
 with ``left`` letters remaining and ``size`` arrangements of them, the words
 starting with any of the ``below`` smaller letters number exactly
 ``size * below // left``; ``below`` is a bisection in a sorted list of those
-letters. Each position costs O(log n) bisections and one list edit. The
-items only need to be in canonical order: alphabet indices and tokens both
-work, since canonical token order is plain string order. Everything here is
-exact arbitrary-precision arithmetic; class sizes overflow 64 bits for
-quite small blocks already.
+letters. Each position costs O(log n) bisections and one list edit. A
+letter unlike its neighbours in the list is a run of its own: its count is
+1 and its ``below`` is its own index, so it skips the bisects that find
+them. The items only need to be in canonical order: alphabet indices and
+tokens both work, since canonical token order is plain string order.
+Everything here is exact arbitrary-precision arithmetic; class sizes
+overflow 64 bits for quite small blocks already.
 
 Ranking walks backward from the last letter: it inserts each letter into
 the list and multiplies the suffix's class size by ``left`` over the
@@ -103,7 +105,10 @@ def rank_indices(word: Sequence) -> tuple[int, int]:
         left += 1
         below = bisect_left(suffix, sym)
         suffix.insert(below, sym)
-        mult = bisect_right(suffix, sym, below) - below
+        # the letter before sym is smaller, so only the one after can match
+        mult = 1
+        if below + 1 < left and suffix[below + 1] == sym:
+            mult = bisect_right(suffix, sym, below + 2) - below
         t = t * mult + a * below
         a *= left
         b *= mult
@@ -191,10 +196,16 @@ def unrank_indices(ordered: Sequence, index: int, size: int | None = None) -> li
         q = index * left // size
         sym = remaining[q]
         out.append(sym)
-        below = bisect_left(remaining, sym, 0, q)
-        if below:
-            index -= size * below // left
-        size = size * (bisect_right(remaining, sym, q) - below) // left
+        if q and remaining[q - 1] == sym or q + 1 < left and remaining[q + 1] == sym:
+            below = bisect_left(remaining, sym, 0, q)
+            if below:
+                index -= size * below // left
+            size = size * (bisect_right(remaining, sym, q) - below) // left
+        else:  # a run of its own, as in _unrank_chunk
+            below = q
+            if q:
+                index -= size * q // left
+            size //= left
         del remaining[below]
         left -= 1
     out += remaining  # rank 0 among the letters left: their sorted order

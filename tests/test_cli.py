@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import asdict
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -375,7 +376,8 @@ class TestStreaming:
         assert extract.exit_code == 0, extract.output
         summary = json.loads(extract.output)
         assert summary["stego_symbols"] == len(cover)
-        assert summary["bits_recovered"] == len(bits)
+        # framed, extract decodes the frame and no further
+        assert summary["bits_recovered"] == (32 + 8 * len(payload) if frame else len(bits))
         expected = payload if frame else bits_to_bytes(bits)
         assert (workdir / "recovered.bin").read_bytes() == expected
 
@@ -543,6 +545,59 @@ class TestStreaming:
         if existing:
             assert out.read_bytes() == b"earlier output"
 
+    @pytest.mark.parametrize("gap", [0, 29])
+    def test_framed_extract_decodes_only_the_frame(self, runner, workdir, small_pieces,
+                                                   monkeypatch, gap):
+        # with no decode map, extract ranks every block it decodes
+        monkeypatch.setattr(permsteg.codec, "_MEMBER_TABLE_MAX_CLASS", 0)
+        # token batches of 5 lines, so a piece of 12 symbols can end mid-batch
+        monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 9)
+        cover = random.Random(10).choices("abc", k=3 * 400 + 1)
+        payload = b"\x5a\xc3"
+        write_tokens(workdir / "cover.txt", "".join(cover))
+        (workdir / "hidden.bin").write_bytes(payload)
+        embed = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert embed.exit_code == 0, embed.output
+        stego = (workdir / "stego.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        frame_bits = 32 + 8 * len(payload)
+        tokens = [token.strip() for token in stego]
+        records = stn_extract(tokens, 3, Alphabet(["a", "b", "c"])).records
+        # the block that carries the frame's last bit, and the blocks through its
+        # piece of 4 blocks (12 symbols)
+        last = next(i for i, bits in enumerate(accumulate(d for d, _, _ in records))
+                    if bits >= frame_bits)
+        through = (last // 4 + 1) * 4
+        assert 4 * through <= len(records)  # the frame ends early in the stream
+        rank = permsteg.codec.rank_indices
+        calls = []
+        monkeypatch.setattr(permsteg.codec, "rank_indices",
+                            lambda word: calls.append(word) or rank(word))
+        args = [
+            "extract", "--alphabet", str(workdir / "alphabet.txt"), "--block-size", "3",
+            "--stego", str(workdir / "stego.txt"), "--out", str(workdir / "recovered.bin"),
+            "--frame-length",
+        ]
+        extract = runner.invoke(main, args)
+        assert extract.exit_code == 0, extract.output
+        assert 0 < len(calls) <= through
+        summary = json.loads(extract.output)
+        assert summary["stego_symbols"] == len(cover)
+        assert summary["bits_recovered"] == frame_bits
+        assert summary["payload_bytes"] == len(payload)
+        assert (workdir / "recovered.bin").read_bytes() == payload
+        # the stream past the frame is still token-checked, from the token
+        # after the last decoded piece on: an unknown token there, or a few
+        # pieces later, exits 3 and writes nothing
+        stego[12 * (last // 4 + 1) + gap] = "z\n"
+        (workdir / "stego.txt").write_text("".join(stego), encoding="utf-8")
+        (workdir / "recovered.bin").unlink()
+        before = sorted(p.name for p in workdir.iterdir())
+        calls.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: symbol 'z' is not in the alphabet\n"
+        assert len(calls) <= through
+        assert sorted(p.name for p in workdir.iterdir()) == before
 
     @pytest.mark.parametrize("output_fault", ["open", "write"])
     @pytest.mark.parametrize("stream_fault, code", [(None, 2), ("unknown", 3), ("short", 4)])

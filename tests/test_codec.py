@@ -18,6 +18,7 @@ from permsteg import (
     InvalidBlockLength,
     UnknownSymbol,
     bits_from_int,
+    bits_to_bytes,
     bytes_to_bits,
     decode_index,
     draw_hidden_bits,
@@ -827,6 +828,42 @@ class TestFraming:
             unframe_bits([0] * 16)
         with pytest.raises(ValueError):
             unframe_bits(bytes_to_bits(frame_payload(b"abc"))[:-9])
+
+    @pytest.mark.parametrize("payload", [b"", b"abc"])
+    @pytest.mark.parametrize("cut", [0, 5], ids=["frame-ends-a-piece", "frame-ends-mid-piece"])
+    def test_write_payload_stops_at_the_frame_end(self, payload, cut):
+        frame = bytes_to_bits(frame_payload(payload))
+        # the frame's last bit ends the third piece, or falls 5 bits before its end
+        extra = [1, 0, 1, 1, 0][:cut]
+        pieces = [frame[:20], frame[20:-9], frame[-9:] + extra, [0, 1] * 8, [1] * 5]
+
+        def fed():
+            yield from pieces[:3]
+            raise AssertionError("pulled a piece past the one that completes the frame")
+
+        out = bytearray()
+        assert permsteg.codec.write_payload(fed(), True, out.extend) == (
+            len(frame), 8 * len(payload)
+        )
+        assert out == payload
+        # unframed, every piece is read
+        taken = []
+        out = bytearray()
+        stream = sum(pieces, [])
+        assert permsteg.codec.write_payload(
+            (taken.append(bits) or bits for bits in pieces), False, out.extend
+        ) == (len(stream), len(stream))
+        assert taken == pieces
+        assert out == bits_to_bytes(stream)
+
+    def test_write_payload_short_frame_errors(self):
+        frame = bytes_to_bits(frame_payload(b"abc"))
+        with pytest.raises(ValueError, match=re.escape("framed stream needs >= 32 bits, got 31")):
+            permsteg.codec.write_payload([frame[:20], frame[20:31]], True, bytearray().extend)
+        with pytest.raises(ValueError, match=re.escape(
+            "framed stream truncated: header says 3 bytes, only 2 available"
+        )):
+            permsteg.codec.write_payload([frame[:20], frame[20:-1]], True, bytearray().extend)
 
     @pytest.mark.parametrize("bad", [2, 300, 1.0, "1"])
     @pytest.mark.parametrize("at", [0, 40], ids=["header", "payload"])
