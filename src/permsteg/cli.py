@@ -16,7 +16,13 @@ of an ``error: ...`` line.
 batches, the codec works a piece of whole blocks at a time, and stego
 tokens are written per piece, so memory does not grow with the file's
 length. ``embed`` reads the hidden file in chunks; framed, it reads it
-whole, since a framed payload must fit the cover. ``extract`` writes the
+whole, since a framed payload must fit the cover. ``embed`` embeds only
+through the first piece that pads, where the payload ran out, and writes
+every later piece of the cover unchanged but token-checked: a cover block
+is already uniform in its class, so the stream keeps the product law, and
+the stego holds at most one piece of padding bits. Its ``padding_bits`` is
+that piece's, and ``passed_blocks`` counts the full blocks written
+unchanged, which ``blocks`` includes. ``extract`` writes the
 whole bytes of each piece's bits and carries fewer than 8 bits to the next
 piece; framed, it reads the 32-bit header and then writes exactly the
 frame's bits. Framed, it decodes only through the piece that completes the
@@ -49,7 +55,7 @@ import random
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import click
 
@@ -145,6 +151,33 @@ def _write_tokens(fh, tokens: Sequence[str]) -> None:
         fh.write("\n")
 
 
+def _embed_stream(cover: Iterable[str], hidden: Iterable[int], n: int, alphabet: Alphabet,
+                  delta_rng: random.Random, padding_rng: random.Random,
+                  write: Callable[[Sequence[str]], object]) -> tuple[int, int, int]:
+    """Embed ``hidden`` in ``cover`` and pass each piece's stego tokens to ``write``.
+
+    Pieces are embedded through the first one that pads, where the caller's
+    bits ran out; every later piece is token-checked and written as read.
+    Whether to stop after a piece rests only on that piece and the ones
+    before it, and a cover block is uniform in its class given all of them,
+    so the stream keeps the product law. ``cover`` must resume where the
+    embed stopped when iterated again, as an iterator or ``_TokenStream``
+    does. Returns (blocks embedded, bits embedded, padding bits of the last
+    embedded piece).
+    """
+    embedded = bits = padding = 0
+    for piece in stn_embed_pieces(cover, hidden, n, alphabet, delta_rng, padding_rng):
+        write(piece.stego)
+        embedded += piece.blocks
+        bits += piece.bits_embedded
+        padding = piece.padding_bits
+        if padding:
+            break
+    for blocks, tail in codec._pieces(cover, n, alphabet, codec._PIECE_SYMBOLS):
+        write([*chain.from_iterable(blocks), *tail])
+    return embedded, bits, padding
+
+
 @contextlib.contextmanager
 def _atomic_out(path: str, binary: bool = False):
     """Write to a new file beside ``path``, renamed over it only on success.
@@ -232,25 +265,22 @@ def embed(alphabet_path, scheme, block_size, cover_path, hidden_path, out_path,
         cover = _TokenStream(cover_fh)
         if scheme == "st2":
             block_size = 2
-        pieces = stn_embed_pieces(cover, hidden, block_size, alphabet,
-                                  random.Random(seed_delta), random.Random(seed_padding))
-        blocks = bits_embedded = padding_bits = 0
         with _atomic_out(out_path) as out:
-            for piece in pieces:
-                _write_tokens(out, piece.stego)
-                blocks += piece.blocks
-                bits_embedded += piece.bits_embedded
-                padding_bits += piece.padding_bits
+            embedded, bits_embedded, padding_bits = _embed_stream(
+                cover, hidden, block_size, alphabet, random.Random(seed_delta),
+                random.Random(seed_padding), functools.partial(_write_tokens, out))
             if bits_embedded < framed_bits:
                 raise ValueError(
                     f"framed payload of {framed_bits} bits does not fit the cover: "
                     f"bits_embedded {bits_embedded}"
                 )
+    blocks = cover.count // block_size
     summary = {
         "scheme": scheme,
         "block_size": block_size,
         "cover_symbols": cover.count,
         "blocks": blocks,
+        "passed_blocks": blocks - embedded,
         "bits_embedded": bits_embedded,
         "padding_bits": padding_bits,
         "bits_per_symbol": bits_embedded / cover.count if cover.count else 0.0,

@@ -1,12 +1,15 @@
 import contextlib
 import json
+import math
 import os
 import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
-from itertools import accumulate
+from fractions import Fraction
+from itertools import accumulate, product
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +20,7 @@ import permsteg.cli
 import permsteg.codec
 from permsteg import (
     Alphabet,
+    SourceModel,
     SpaceTooLarge,
     bits_to_bytes,
     bytes_to_bits,
@@ -28,13 +32,13 @@ from permsteg import (
     measure_stn_rate,
     rate_lower_bound,
     save_model,
-    st2_embed,
-    st2_extract,
-    stn_embed,
     stn_extract,
     zipf_model,
 )
+from permsteg.analysis import block_distribution
 from permsteg.cli import main
+
+from oracles import brute_class_size
 
 
 @pytest.fixture
@@ -78,9 +82,13 @@ def read_tokens(path):
 
 @pytest.fixture
 def small_pieces(monkeypatch):
-    """Stream in pieces of a few blocks, reading token files in small batches."""
+    """Stream in pieces of a few blocks, reading token files in small batches.
+
+    A batch is 5 lines, which do not divide a 12-symbol piece, so pieces end
+    mid-batch.
+    """
     monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", 12)
-    monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 10)
+    monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 9)
 
 
 def embed_args(workdir, scheme, *extra):
@@ -345,27 +353,38 @@ class TestStreaming:
     @pytest.mark.parametrize("frame", [False, True])
     def test_files_match_whole_stream_library(self, runner, workdir, small_pieces,
                                               scheme, frame):
+        # the library's pieces through the first one that pads, where the
+        # payload ran out, and then the rest of the cover as it was
         alphabet = Alphabet(["a", "b", "c"])
-        rng = random.Random(3)
-        cover = rng.choices("abc", k=3 * 80 + 2)  # a trailing partial block
+        n = 2 if scheme == "st2" else 3
+        cover = random.Random(3).choices("abc", k=3 * 80 + 2)  # a trailing partial block
         payload = b"\x9c"
         write_tokens(workdir / "cover.txt", "".join(cover))
         (workdir / "hidden.bin").write_bytes(payload)
         hidden = bytes_to_bits(frame_payload(payload) if frame else payload)
-        if scheme == "st2":
-            whole = st2_embed(cover, hidden, alphabet, random.Random(2))
-            bits = st2_extract(whole.stego, alphabet).bits
-        else:
-            whole = stn_embed(cover, hidden, 3, alphabet, random.Random(1), random.Random(2))
-            bits = stn_extract(whole.stego, 3, alphabet).bits
-        assert whole.padding_bits > 0
+        pieces = []
+        for piece in permsteg.codec.stn_embed_pieces(cover, hidden, n, alphabet,
+                                                     random.Random(1), random.Random(2)):
+            pieces.append(piece)
+            if piece.padding_bits:
+                break
+        stego = [token for piece in pieces for token in piece.stego]
+        assert pieces[-1].padding_bits > 0
+        assert len(stego) + 3 * 12 < len(cover)  # pieces are passed through
+        stego += cover[len(stego):]
         flag = ["--frame-length"] if frame else []
         embed = runner.invoke(main, embed_args(workdir, scheme, *flag))
         assert embed.exit_code == 0, embed.output
-        assert json.loads(embed.output)["cover_symbols"] == len(cover)
+        summary = json.loads(embed.output)
         assert (workdir / "stego.txt").read_text(encoding="utf-8") == "".join(
-            token + "\n" for token in whole.stego
+            token + "\n" for token in stego
         )
+        embedded = sum(piece.blocks for piece in pieces)
+        assert summary["cover_symbols"] == len(cover)
+        assert summary["blocks"] == len(cover) // n
+        assert summary["passed_blocks"] == len(cover) // n - embedded
+        assert summary["bits_embedded"] == len(hidden)
+        assert summary["padding_bits"] == pieces[-1].padding_bits
         extract = runner.invoke(main, [
             "extract", "--alphabet", str(workdir / "alphabet.txt"),
             "--scheme", scheme, "--block-size", "3",
@@ -376,8 +395,10 @@ class TestStreaming:
         assert extract.exit_code == 0, extract.output
         summary = json.loads(extract.output)
         assert summary["stego_symbols"] == len(cover)
+        bits = stn_extract(stego, n, alphabet).bits
+        assert bits[: len(hidden)] == tuple(hidden)
         # framed, extract decodes the frame and no further
-        assert summary["bits_recovered"] == (32 + 8 * len(payload) if frame else len(bits))
+        assert summary["bits_recovered"] == (len(hidden) if frame else len(bits))
         expected = payload if frame else bits_to_bytes(bits)
         assert (workdir / "recovered.bin").read_bytes() == expected
 
@@ -388,6 +409,29 @@ class TestStreaming:
         before = sorted(p.name for p in workdir.iterdir())
         result = runner.invoke(main, embed_args(workdir, scheme))
         assert result.exit_code == 3, result.output
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("gap", [0, 29])
+    def test_unknown_symbol_past_the_stop_exit_3(self, runner, workdir, small_pieces, gap):
+        # the pieces after the one that pads are written as read, but still
+        # token-checked from the token after that piece on
+        cover = random.Random(10).choices("abc", k=3 * 400 + 1)
+        write_tokens(workdir / "cover.txt", "".join(cover))
+        (workdir / "hidden.bin").write_bytes(b"\x5a\xc3")
+        embed = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert embed.exit_code == 0, embed.output
+        summary = json.loads(embed.output)
+        stop = 3 * (summary["blocks"] - summary["passed_blocks"])
+        assert stop % 12 == 0 and stop + 3 * 12 < len(cover)
+        assert (stop + gap) % 5  # inside a batch of 5 lines
+        assert read_tokens(workdir / "stego.txt")[stop:] == "".join(cover[stop:])
+        (workdir / "stego.txt").unlink()
+        cover[stop + gap] = "z"
+        write_tokens(workdir / "cover.txt", "".join(cover))
+        before = sorted(p.name for p in workdir.iterdir())
+        result = runner.invoke(main, embed_args(workdir, "stn", "--frame-length"))
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: symbol 'z' is not in the alphabet\n"
         assert sorted(p.name for p in workdir.iterdir()) == before
 
     def test_failed_embed_leaves_existing_out_untouched(self, runner, workdir, small_pieces):
@@ -550,8 +594,6 @@ class TestStreaming:
                                                    monkeypatch, gap):
         # with no decode map, extract ranks every block it decodes
         monkeypatch.setattr(permsteg.codec, "_MEMBER_TABLE_MAX_CLASS", 0)
-        # token batches of 5 lines, so a piece of 12 symbols can end mid-batch
-        monkeypatch.setattr(permsteg.cli, "_READ_BATCH_BYTES", 9)
         cover = random.Random(10).choices("abc", k=3 * 400 + 1)
         payload = b"\x5a\xc3"
         write_tokens(workdir / "cover.txt", "".join(cover))
@@ -642,6 +684,119 @@ class TestStreaming:
         assert sorted(p.name for p in workdir.iterdir()) == before
         if output_fault == "write":
             assert len(writes) == 1  # the first piece's bytes, before the stream's fault
+
+
+class _Reads:
+    """Scripted values for the reads of one run's two generators, as an odometer.
+
+    ``delta`` and ``padding`` stand in for the generators. The run's i-th read
+    takes the i-th logged value; a read past the log logs 0 together with the
+    number of values the read can take: the next class size in ``sizes`` for
+    a draw (one read of N.bit_length() bits gives u < N), 2**k for k padding
+    bits. ``advance`` steps the log to the next run's values.
+    """
+
+    def __init__(self, sizes):
+        self._sizes = sizes
+        self.log = []  # [generator, value, values it can take, bits] per read
+        self._used = 0
+        self.delta = SimpleNamespace(getrandbits=lambda k: self._read("delta", k))
+        self.padding = SimpleNamespace(getrandbits=lambda k: self._read("padding", k))
+
+    def _read(self, name, k):
+        if self._used == len(self.log):
+            if name == "delta":
+                size = self._sizes[sum(read[0] == "delta" for read in self.log)]
+                assert k == size.bit_length(), (k, size)
+            self.log.append([name, 0, size if name == "delta" else 1 << k, k])
+        read = self.log[self._used]
+        assert read[0] == name and read[3] == k, (read, name, k)
+        self._used += 1
+        return read[1]
+
+    def advance(self):
+        """Step to the next run's values; False once every run was made."""
+        assert self._used == len(self.log)  # the run read every scripted value
+        self._used = 0
+        while self.log:
+            self.log[-1][1] += 1
+            if self.log[-1][1] < self.log[-1][2]:
+                return True
+            self.log.pop()
+        return False
+
+
+def _stream_law(model, n, blocks, length, stream):
+    """The exact law of ``stream``'s output for a payload of ``length`` bits.
+
+    Every cover stream of ``blocks`` blocks, every payload and every value
+    of every draw and padding read that ``stream`` makes is run once: a draw
+    goes to the next block whose class size N is no power of two and takes
+    each u < N with weight 1/N, and a read of k padding bits takes each
+    value with weight 2**-k.
+    """
+    symbols, probs = model.alphabet.symbols, model.probs
+    law = {}
+    for cover in product(range(len(symbols)), repeat=n * blocks):
+        tokens = [symbols[i] for i in cover]
+        sizes = [size for size in (brute_class_size(cover[i : i + n])
+                                   for i in range(0, n * blocks, n)) if size & (size - 1)]
+        runs = Counter()  # (output, 1 / the weight of its reads) -> payloads and runs
+        for payload in product((0, 1), repeat=length):
+            reads = _Reads(sizes)
+            while True:
+                out = []
+                stream(iter(tokens), payload, n, model.alphabet, reads.delta, reads.padding,
+                       out.extend)
+                runs[tuple(out), math.prod(read[2] for read in reads.log)] += 1
+                if not reads.advance():
+                    break
+        weight = math.prod(probs[i] for i in cover) / 2**length
+        for (word, inverse), count in runs.items():
+            law[word] = law.get(word, 0) + weight * count / inverse
+    return law
+
+
+def _sorted_blocks_pass(cover, hidden, n, alphabet, delta_rng, padding_rng, write):
+    """Negative control: a cover block already in sorted order is written as read."""
+    cover = list(cover)
+    blocks = iter([cover[i : i + n] for i in range(0, len(cover), n)])
+
+    def write_block(tokens):
+        if tokens:
+            block = next(blocks)
+            write(block if block == sorted(block) else tokens)
+
+    return permsteg.cli._embed_stream(iter(cover), hidden, n, alphabet, delta_rng, padding_rng,
+                                      write_block)
+
+
+class TestEmbedStreamLaw:
+    """The CLI's embed keeps the product law on whole streams, not only per block.
+
+    It stops embedding after the first piece that pads and writes the rest of
+    the cover as read. Whether it stops after a piece rests on the class
+    sizes, draws and payload length up to that piece, so the law of each
+    stream, as a word of ``blocks * n`` symbols, is the product law.
+    """
+
+    @pytest.mark.parametrize("probs, n, blocks", [
+        ((Fraction(1, 3), Fraction(2, 3)), 3, 2),
+        ((Fraction(1, 3), Fraction(2, 3)), 3, 3),
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), 2, 3),
+    ], ids=["k2-n3-b2", "k2-n3-b3", "k3-n2-b3"])
+    def test_stop_rule_keeps_the_product_law(self, monkeypatch, probs, n, blocks):
+        monkeypatch.setattr(permsteg.codec, "_PIECE_SYMBOLS", n)  # one block per piece
+        model = SourceModel(Alphabet("abc"[: len(probs)]), probs)
+        expected = block_distribution(model, n * blocks)
+        # the most bits a stream can carry: floor(log2 N) per block
+        capacity = blocks * max(brute_class_size(word).bit_length() - 1
+                                for word in product(range(len(probs)), repeat=n))
+        for length in range(capacity + 1):
+            law = _stream_law(model, n, blocks, length, permsteg.cli._embed_stream)
+            assert law == expected, length
+        control = _stream_law(model, n, blocks, 0, _sorted_blocks_pass)
+        assert sum(control.get(word, 0) != p for word, p in expected.items()) > 0
 
 
 class TestGenerate:
