@@ -28,9 +28,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from types import SimpleNamespace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .alphabet import Block
 from .codec import EmbedResult, stn_embed
@@ -123,19 +123,15 @@ class DistributionReport:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Measured hiding rate with its theoretical context."""
+    """Measured hiding rate at one block length, with its lower bound."""
 
     n: int
     empirical_rate: float
     std_error: float
     bound: float
-    entropy: float
-    min_entropy: float
     blocks_measured: int
     cover_symbols: int
     bits_embedded: int
-    padding_bits: int
-    model_digest: str
     seeds: dict[str, int]
 
 
@@ -227,19 +223,16 @@ def _seeded_embed(
     n: int,
     cover_symbols: int,
     seed_source: int,
-    seed_hidden: int,
     seed_delta: int,
-) -> tuple[EmbedResult, dict[str, int]]:
-    """Embed an endless hidden stream in fresh seeded cover; the result and its seeds.
+    hidden: Iterator[int],
+) -> EmbedResult:
+    """Embed the endless ``hidden`` stream in fresh seeded cover.
 
-    The endless stream never runs out, so the embedder never draws padding
-    bits; the hidden stream's own generator stands in as the padding one.
+    The stream never runs out, so the embedder never draws a padding bit,
+    and its padding generator is a ``Random(0)`` it never draws.
     """
     cover = draw_cover(model, cover_symbols, random.Random(seed_source))
-    hidden_rng = random.Random(seed_hidden)
-    hidden = hidden_bit_stream(hidden_rng)
-    result = stn_embed(cover, hidden, n, model.alphabet, random.Random(seed_delta), hidden_rng)
-    return result, {"source": seed_source, "hidden": seed_hidden, "delta": seed_delta}
+    return stn_embed(cover, hidden, n, model.alphabet, random.Random(seed_delta), random.Random(0))
 
 
 def empirical_distribution_report(
@@ -252,7 +245,9 @@ def empirical_distribution_report(
 ) -> DistributionReport:
     """Embed ``blocks`` blocks of fresh cover and test the output empirically."""
     _guard_space(len(model.alphabet), n)
-    result, seeds = _seeded_embed(model, n, blocks * n, seed_source, seed_hidden, seed_delta)
+    hidden = hidden_bit_stream(random.Random(seed_hidden))
+    result = _seeded_embed(model, n, blocks * n, seed_source, seed_delta, hidden)
+    seeds = {"source": seed_source, "hidden": seed_hidden, "delta": seed_delta}
     return _distribution_of(result, seeds, model, n)
 
 
@@ -356,13 +351,9 @@ def empirical_rate(
         empirical_rate=rate,
         std_error=std_error,
         bound=rate_lower_bound(model, n),
-        entropy=shannon_entropy(model),
-        min_entropy=min_entropy(model),
         blocks_measured=blocks,
         cover_symbols=cover_symbols,
         bits_embedded=result.bits_embedded,
-        padding_bits=result.padding_bits,
-        model_digest=model_digest(model),
         seeds=dict(seeds or {}),
     )
 
@@ -372,10 +363,13 @@ def measure_stn_rate(
     n: int,
     cover_symbols: int,
     seed_source: int,
-    seed_hidden: int,
     seed_delta: int,
 ) -> RateReport:
-    """Draw fresh cover, embed an endless hidden stream, and measure the rate."""
-    result, seeds = _seeded_embed(model, n, cover_symbols, seed_source, seed_hidden, seed_delta)
-    return empirical_rate(result, model, n, seeds=seeds)
+    """Draw fresh cover, embed an endless all-zero payload, and measure the rate.
 
+    Each block's payload length is drawn from its class size alone, and an
+    endless payload never pads, so the report reads no payload bit: a fair
+    payload gives the same report, and no hidden seed could change it.
+    """
+    result = _seeded_embed(model, n, cover_symbols, seed_source, seed_delta, repeat(0))
+    return empirical_rate(result, model, n, seeds={"source": seed_source, "delta": seed_delta})

@@ -360,7 +360,8 @@ def generate(model_path, count, seed_source, out_path) -> None:
 @click.option("--samples", type=int, default=100_000, show_default=True,
               help="Stego blocks to embed for the statistics and rate measurement.")
 @click.option("--seed-source", type=int, default=0, show_default=True)
-@click.option("--seed-hidden", type=int, default=1, show_default=True)
+@click.option("--seed-hidden", type=int, default=1, show_default=True,
+              help="Seed for the fair payload; it changes only the empirical report.")
 @click.option("--seed-delta", type=int, default=2, show_default=True)
 @click.option("--report", "report_path", default=None,
               help="Write the JSON report here instead of standard output.")
@@ -382,29 +383,29 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
         shannon_entropy,
         st2_rate,
     )
-    from .sources import load_model
+    from .sources import hidden_bit_stream, load_model
 
     model = load_model(model_path)
     if block_size < 2:
         raise InvalidBlockLength(f"block length must be >= 2, got {block_size}")
     # both modes enumerate the outcome space, so check it before any work
     _guard_space(len(model.alphabet), block_size)
-    result, seeds = _seeded_embed(
-        model, block_size, samples * block_size, seed_source, seed_hidden, seed_delta
-    )
+    # one fair-payload embed serves the chi-square and the rate, which reads
+    # no payload bit and so reports no hidden seed
+    hidden = hidden_bit_stream(random.Random(seed_hidden))
+    result = _seeded_embed(model, block_size, samples * block_size, seed_source, seed_delta, hidden)
+    seeds = {"source": seed_source, "delta": seed_delta}
     if mode == "exact":
         dist = exact_distribution_report(model, block_size)
     else:
-        dist = _distribution_of(result, seeds, model, block_size)
-    rate = empirical_rate(result, model, block_size, seeds=seeds)
+        dist = _distribution_of(result, {**seeds, "hidden": seed_hidden}, model, block_size)
     payload = {
         "distribution": asdict(dist),
-        "rate": asdict(rate),
+        "rate": asdict(empirical_rate(result, model, block_size, seeds=seeds)),
         "theory": {
             "entropy": shannon_entropy(model),
             "min_entropy": min_entropy(model),
             "st2_rate": float(st2_rate(model)),
-            "rate_lower_bound": rate.bound,
         },
     }
     _write_report(report_path, payload)
@@ -417,12 +418,10 @@ def analyze(model_path, block_size, mode, samples, seed_source, seed_hidden,
 @click.option("--symbols", type=int, default=100_000, show_default=True,
               help="Cover symbols per block length.")
 @click.option("--seed-source", type=int, default=0, show_default=True)
-@click.option("--seed-hidden", type=int, default=1, show_default=True)
 @click.option("--seed-delta", type=int, default=2, show_default=True)
 @click.option("--report", "report_path", default=None)
 @_guarded
-def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
-          seed_delta, report_path) -> None:
+def rates(model_path, block_sizes, symbols, seed_source, seed_delta, report_path) -> None:
     """Measure hiding rates across block lengths (trend toward the entropy)."""
     if symbols < 1:
         raise ValueError("--symbols must be >= 1")
@@ -433,20 +432,21 @@ def rates(model_path, block_sizes, symbols, seed_source, seed_hidden,
 
     model = load_model(model_path)
     try:
-        sizes = [int(part) for part in block_sizes.split(",") if part.strip()]
+        sizes = sorted({int(part) for part in block_sizes.split(",") if part.strip()})
     except ValueError:
         raise ValueError(f"bad --block-sizes value {block_sizes!r}") from None
-    if not sizes or any(n < 2 for n in sizes):
+    if not sizes or sizes[0] < 2:
         raise InvalidBlockLength("every block length in the sweep must be >= 2")
-    reports = []
-    for n in sorted(sizes):
-        report = measure_stn_rate(model, n, symbols, seed_source, seed_hidden, seed_delta)
-        reports.append(asdict(report))
+    if symbols < sizes[-1]:
+        raise ValueError(
+            f"--symbols {symbols} is shorter than the longest block length {sizes[-1]}"
+        )
     payload = {
         "entropy": shannon_entropy(model),
         "min_entropy": min_entropy(model),
         "model_digest": model_digest(model),
-        "sweep": reports,
+        "sweep": [asdict(measure_stn_rate(model, n, symbols, seed_source, seed_delta))
+                  for n in sizes],
     }
     _write_report(report_path, payload)
 

@@ -304,7 +304,7 @@ def test_criterion_08_block_scheme_rate_bound():
     n = 8
     symbols = 1_000_000
     bound = rate_lower_bound(model, n)
-    report = measure_stn_rate(model, n, symbols, 801, 802, 803)
+    report = measure_stn_rate(model, n, symbols, 801, 803)
     ceiling = math.log2(math.factorial(n)) / n
     ok = bound <= report.empirical_rate <= ceiling
     _report(
@@ -320,7 +320,7 @@ def test_criterion_09_rate_grows_toward_entropy():
     entropy = shannon_entropy(model)
     symbols = 1_000_000
     reports = [
-        measure_stn_rate(model, n, symbols, 900 + n, 910 + n, 920 + n)
+        measure_stn_rate(model, n, symbols, 900 + n, 920 + n)
         for n in (2, 4, 8, 12)
     ]
     rates = [r.empirical_rate for r in reports]
@@ -349,7 +349,7 @@ def test_criterion_10_rate_trend_in_alphabet_size():
     rates = {}
     ses = {}
     for k in (4, 16, 64, 256, 1024):
-        report = measure_stn_rate(uniform_model(k), n, symbols, k, k + 1, k + 2)
+        report = measure_stn_rate(uniform_model(k), n, symbols, k, k + 2)
         rates[k], ses[k] = report.empirical_rate, report.std_error
     ordered = [rates[k] for k in (4, 16, 64, 256, 1024)]
     ordered_se = [ses[k] for k in (4, 16, 64, 256, 1024)]

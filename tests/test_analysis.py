@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from scipy.stats import chi2
 
+import permsteg.analysis
 import permsteg.codec
 from permsteg import (
     Alphabet,
@@ -304,15 +305,24 @@ class TestEmpiricalRate:
         report = empirical_rate(result, model, 2)
         sigma = math.sqrt(0.25 * (symbols / 2)) / symbols
         assert abs(report.empirical_rate - 0.25) < 3 * sigma
-        assert report.padding_bits == 0
-        assert report.entropy == pytest.approx(1.0, abs=1e-12)
+        assert result.padding_bits == 0
+        assert shannon_entropy(model) == pytest.approx(1.0, abs=1e-12)
 
-    def test_measure_stn_rate_exceeds_bound(self):
-        report = measure_stn_rate(M_532, 4, 200_000, 1, 2, 3)
+    def test_measure_stn_rate_exceeds_bound(self, monkeypatch):
+        results = []
+        real_embed = permsteg.analysis.stn_embed
+
+        def recorded_embed(*args):
+            results.append(real_embed(*args))
+            return results[-1]
+
+        monkeypatch.setattr(permsteg.analysis, "stn_embed", recorded_embed)
+        report = measure_stn_rate(M_532, 4, 200_000, 1, 3)
         assert report.empirical_rate >= report.bound - 3 * report.std_error
         assert report.blocks_measured == 50_000
-        # the endless hidden stream never runs out, so nothing is padding
-        assert report.padding_bits == 0
+        # the endless zero payload never runs out, so nothing is padding
+        [result] = results
+        assert result.padding_bits == 0
         # frozen exact expectation for this model and block length: 0.5059
         assert abs(report.empirical_rate - 0.5059) < 0.01
 
@@ -360,11 +370,11 @@ class TestEmpiricalDistribution:
 class TestReports:
     def test_reports_serialize_to_json(self):
         dist = exact_distribution_report(M_73, 2)
-        rate = measure_stn_rate(M_73, 2, 2_000, 1, 2, 3)
+        rate = measure_stn_rate(M_73, 2, 2_000, 1, 3)
         blob = json.dumps({"distribution": asdict(dist), "rate": asdict(rate)}, sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["distribution"]["max_abs_deviation"] == 0.0
-        assert parsed["rate"]["seeds"] == {"source": 1, "hidden": 2, "delta": 3}
+        assert parsed["rate"]["seeds"] == {"source": 1, "delta": 3}
 
     def test_model_digest_distinguishes_models(self):
         assert model_digest(M_73) != model_digest(uniform_model(2))

@@ -923,18 +923,17 @@ class TestAnalyze:
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
     def test_analyze_embeds_once(self, runner, workdir, monkeypatch, mode):
         # either mode measures the rate (and, empirically, the distribution)
-        # on one seeded embed, and each report equals what its public
-        # function returns for the same seeds; the exact oracle adds one
-        # scripted embed per class
+        # on one embed of a fair payload; the rate reads no payload bit, so it
+        # equals the zero-payload rate of measure_stn_rate at the same source
+        # and delta seeds; the exact oracle adds one scripted embed per class
         model = load_model(workdir / "model.txt")
-        seeds = (5, 6, 7)
         if mode == "exact":
             distribution = exact_distribution_report(model, 3)
         else:
-            distribution = empirical_distribution_report(model, 3, 600, *seeds)
+            distribution = empirical_distribution_report(model, 3, 600, 5, 6, 7)
         expected = {
             "distribution": asdict(distribution),
-            "rate": asdict(measure_stn_rate(model, 3, 1800, *seeds)),
+            "rate": asdict(measure_stn_rate(model, 3, 1800, 5, 7)),
         }
         calls = []
         real_embed = permsteg.analysis.stn_embed
@@ -957,23 +956,59 @@ class TestAnalyze:
         assert len(calls) - len(seeded) == (10 if mode == "exact" else 0)
         report = json.loads((workdir / "report.json").read_text())
         assert {part: report[part] for part in expected} == json.loads(json.dumps(expected))
-        # the theory section's bound is the number the rate report carries
-        assert report["theory"]["rate_lower_bound"] == report["rate"]["bound"]
         assert report["rate"]["bound"] == rate_lower_bound(model, 3)
-        # the hidden stream is endless, so no padding bit is ever drawn
-        assert report["rate"]["padding_bits"] == 0
+        assert "rate_lower_bound" not in report["theory"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "rates"])
-def test_analysis_commands_take_no_padding_seed(runner, workdir, command):
+@pytest.mark.parametrize("command, option", [("analyze", "--seed-padding"),
+                                             ("rates", "--seed-padding"),
+                                             ("rates", "--seed-hidden")],
+                         ids=["analyze", "rates", "rates-seed-hidden"])
+def test_analysis_commands_take_no_padding_seed(runner, workdir, command, option):
     # the analysis commands embed an endless hidden stream, which never
-    # pads, so a padding seed could not change their output
+    # pads, so a padding seed could not change their output; nor could a
+    # hidden seed change a rate, which reads no payload bit
     result = runner.invoke(main, [
-        command, "--model", str(workdir / "model.txt"), "--seed-padding", "3",
+        command, "--model", str(workdir / "model.txt"), option, "3",
     ])
     assert result.exit_code == 2
     # click words this "No such option: --x" or "No such option '--x'" by version
-    assert "No such option" in result.output and "--seed-padding" in result.output
+    assert "No such option" in result.output and option in result.output
+
+
+def _without_seeds(report):
+    """``report`` with every ``seeds`` object removed, at any depth."""
+    if isinstance(report, dict):
+        return {key: _without_seeds(value) for key, value in report.items() if key != "seeds"}
+    if isinstance(report, list):
+        return [_without_seeds(value) for value in report]
+    return report
+
+
+@pytest.mark.parametrize("command, exempt", [
+    (["rates", "--block-sizes", "2,3", "--symbols", "600"], None),
+    (["analyze", "-n", "3", "--mode", "exact", "--samples", "200"], "--seed-hidden"),
+    (["analyze", "-n", "3", "--mode", "empirical", "--samples", "200"], None),
+], ids=["rates", "analyze-exact", "analyze-empirical"])
+def test_every_seed_option_changes_more_than_its_echo(runner, workdir, command, exempt):
+    # a seed option that changes nothing but its own echo in `seeds` is an
+    # input the report does not depend on; the one listed exemption is the
+    # hidden seed of the exact mode, whose oracle and rate read no payload
+    # bit, and which then leaves the whole report as it was
+    params = main.commands[command[0]].params
+    options = [param.opts[0] for param in params if param.opts[0].startswith("--seed-")]
+    assert options
+    for option in options:
+        first, second = (
+            runner.invoke(main, [*command, "--model", str(workdir / "model.txt"), option, value])
+            for value in ("1", "99")
+        )
+        assert first.exit_code == second.exit_code == 0, (option, first.output, second.output)
+        if option == exempt:
+            assert first.output == second.output
+        else:
+            assert _without_seeds(json.loads(first.output)) != \
+                _without_seeds(json.loads(second.output)), option
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -994,6 +1029,21 @@ def test_analysis_commands_need_a_positive_count(runner, workdir, monkeypatch, c
     assert not (workdir / "report.json").exists()
 
 
+def test_rates_needs_a_cover_as_long_as_its_longest_block(runner, workdir, monkeypatch):
+    # a cover shorter than the longest block length exits 4 naming --symbols
+    # and that length, before anything is embedded
+    calls = []
+    monkeypatch.setattr(permsteg.analysis, "stn_embed", lambda *args: calls.append(args))
+    result = runner.invoke(main, [
+        "rates", "--model", str(workdir / "model.txt"), "--symbols", "5",
+        "--block-sizes", "2,8", "--report", str(workdir / "report.json"),
+    ])
+    assert result.exit_code == 4
+    assert "error: --symbols 5" in result.output and "block length 8" in result.output
+    assert calls == []
+    assert not (workdir / "report.json").exists()
+
+
 class TestRatesSweep:
     def test_sweep_trends_toward_entropy(self, runner, workdir):
         result = runner.invoke(main, [
@@ -1007,6 +1057,19 @@ class TestRatesSweep:
         assert [entry["n"] for entry in sweep] == [2, 4]
         assert sweep[0]["empirical_rate"] < sweep[1]["empirical_rate"]
         assert sweep[1]["empirical_rate"] < report["entropy"]
+
+    def test_each_block_length_is_measured_once(self, runner, workdir):
+        def sweep(block_sizes):
+            result = runner.invoke(main, [
+                "rates", "--model", str(workdir / "model.txt"),
+                "--block-sizes", block_sizes, "--symbols", "2000",
+            ])
+            assert result.exit_code == 0, result.output
+            return json.loads(result.output)["sweep"]
+
+        repeated = sweep("4,2,4")
+        assert [entry["n"] for entry in repeated] == [2, 4]
+        assert repeated[1] == sweep("4")[0]
 
     def test_class_sizes_beyond_float_range(self, runner, workdir):
         # classes of 2048 letters pass 1.8e308, where the bound once raised
